@@ -80,9 +80,6 @@ class BundleSpec:
     def degree(self):
         return sum(f.degree for f in self.factors) - len(self.modifications)
 
-    def slope_times_rank(self):
-        return self.degree
-
     @property
     def is_decomposable(self):
         return not self.modifications

@@ -8,7 +8,7 @@ the full rational point list is enumerated at construction.
 
 from __future__ import annotations
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .fields import extension_of
 from .series import LaurentSeries
 
@@ -130,6 +130,7 @@ class Curve:
         self.a6 = a6
         self.discriminant = disc
         self._param_cache = {}
+        self._base_changes = {}
         self._points = None
         if field.is_finite:
             self._points = self._enumerate_points()
@@ -221,10 +222,6 @@ class Curve:
     def is_principal(self, D):
         return D.degree == 0 and self.divisor_group_sum(D).is_infinity
 
-    def linearly_equivalent(self, D1, D2):
-        return D1.degree == D2.degree and \
-            self.divisor_group_sum(D1) == self.divisor_group_sum(D2)
-
     def pic0_representatives(self):
         """One degree-0 divisor (T) - (O) per class; bijection T <-> class at genus 1."""
         reps = []
@@ -237,11 +234,19 @@ class Curve:
 
     # -- base change -----------------------------------------------------------
     def base_change(self, e):
-        """The same curve over F_{q^e}; places embed with identical coordinates."""
+        """The same curve over F_{q^e}; places embed with identical coordinates.
+
+        Built once per degree and kept on this curve, so every scan over
+        F_{q^e} shares one field's tables and one param_series cache.
+        """
         if e == 1:
             return self
-        big = extension_of(self.field, e)
-        return Curve(big, big.embed(self.a4), big.embed(self.a6))
+        big = self._base_changes.get(e)
+        if big is None:
+            K = extension_of(self.field, e)
+            big = Curve(K, K.embed(self.a4), K.embed(self.a6))
+            self._base_changes[e] = big
+        return big
 
     # -- local parametrisation ---------------------------------------------------
     def uniformiser_kind(self, place):
@@ -333,7 +338,10 @@ class Curve:
     def divisor_from_json(self, obj):
         D = Divisor()
         for rec in obj:
-            D.add_place(self.place_from_json(rec["point"]), int(rec["mult"]))
+            mult = rec["mult"]
+            if not isinstance(mult, int) or isinstance(mult, bool):
+                raise InputError(f"divisor multiplicity {mult!r} is not an integer")
+            D.add_place(self.place_from_json(rec["point"]), mult)
         return D
 
     def embed_place(self, place, big_curve):
@@ -351,14 +359,3 @@ class Curve:
 
     def __repr__(self):
         return f"y^2 = x^3 + {self.a4}*x + {self.a6} over {self.field!r}"
-
-
-def curve_new(field, a4, a6):
-    """Validated constructor; mirrors Curve(field, a4, a6)."""
-    return Curve(field, a4, a6)
-
-
-def ord_of_divisor_check(D):
-    if any(m == 0 for m in D.support.values()):
-        raise DomainError("divisor support carries a zero multiplicity")
-    return D

@@ -8,7 +8,9 @@ elimination, fibre scans) free of wrapper allocation.
 Extension fields F_{p^e} are restricted to e <= 3: irreducibility of the
 modulus is then equivalent to having no root in F_p, which we verify
 exhaustively.  Elements are packed as integers in base p (little-endian
-coefficients); multiplication goes through discrete-log tables.
+coefficients); arithmetic goes through log/Zech-log tables, one extension
+curve per base curve (Curve.base_change keeps it), so the tables are built
+once per base curve and degree.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ class Field:
 
     def is_zero(self, a):
         return a == self.zero
-
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
 
     def dot(self, xs, ys):
         acc = self.zero
@@ -201,6 +197,15 @@ class ExtensionField(Field):
                     prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
         return self._pack(prod[:e])
 
+    def _digit_add(self, a, b):
+        p, acc, mult = self.p, 0, 1
+        for _ in range(self.degree):
+            acc += ((a + b) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return acc
+
     def _build_tables(self):
         q = self.order
         for g in range(2, q):
@@ -214,45 +219,49 @@ class ExtensionField(Field):
                 if seen > q:
                     raise InputError("modulus is not irreducible (unit group too small)")
             if seen == q - 1:
-                self._exp = expt
-                log = [0] * q
-                for i, v in enumerate(expt):
-                    log[v] = i
-                self._log = log
+                self._set_tables(expt)
                 return
         raise InputError("no multiplicative generator found; modulus not irreducible")
 
+    def _set_tables(self, expt):
+        """Log, exp and Zech-log tables for the generator g with powers expt.
+
+        The exp table holds two periods of g^i followed by zeros, and zero's
+        log points into those zeros, so a sum of two logs indexes it with no
+        reduction mod q - 1 and a zero factor needs no branch.  zech[n] is
+        log(1 + g^n), zero's log where 1 + g^n = 0; add indexes it by
+        log b - log a, and a negative index wraps to the same power of g.
+        -1 = g^half, with half = 0 in characteristic 2.
+        """
+        qm1 = self.order - 1
+        zero_log = 2 * qm1
+        log = [zero_log] * self.order
+        for i, v in enumerate(expt):
+            log[v] = i
+        self._exp = expt + expt + [0] * (2 * qm1 + 1)
+        self._log = log
+        self._zech = [log[self._digit_add(1, v)] for v in expt]
+        self._half = qm1 // 2 if self.p != 2 else 0
+
     # -- field operations --------------------------------------------------
     def add(self, a, b):
-        p, acc, mult = self.p, 0, 1
-        for _ in range(self.degree):
-            acc += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return acc
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
-        p, acc, mult = self.p, 0, 1
-        for _ in range(self.degree):
-            acc += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return acc
+        return self._exp[self._log[a] + self._half]
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        n = self._log[a] + self._log[b]
-        qm1 = self.order - 1
-        if n >= qm1:
-            n -= qm1
-        return self._exp[n]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.order - 1)]
+        return self._exp[self.order - 1 - self._log[a]]
 
     def from_int(self, n):
         return n % self.p

@@ -242,7 +242,9 @@ class FunctionRep:
             raise DomainError("cannot expand the zero function")
         self.curve.check_place(place)
         bound = self._pole_bound() + max(precision, 0) + 8
-        slack = 10
+        # _halves pads the parametrisation already; extra slack is only
+        # added when the tracked precision comes out short
+        slack = 0
         while True:
             num, den = self._halves(place, precision + slack)
             if num.coeffs and den.coeffs:
@@ -256,7 +258,7 @@ class FunctionRep:
                             f"requested precision {precision} does not exceed "
                             "the valuation of the function")
                     return res
-            slack *= 2
+            slack = 2 * slack or 8
             if slack > 8 * bound + 256:
                 raise InvariantViolation(
                     "expansion failed to stabilise within the vanishing bound")

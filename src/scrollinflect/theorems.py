@@ -14,7 +14,7 @@ from itertools import product
 from math import ceil, floor, isqrt
 
 from .bundle import chi_h1, dual_twist, h0, wedge
-from .curve import Divisor, single
+from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import ExactMatrix, mat_rank_kernel
@@ -158,10 +158,10 @@ def segre1(E_spec, method="auto", ext_degree=1):
     spec = E_spec if ext_degree == 1 else E_spec.base_change(curve)
     if lo > hi:
         raise InputError("empty search window")
-    O = _infty()
     for a in range(hi, lo - 1, -1):
         for T in curve.points():
-            L = single(O, a - 1).add(single(T)) if not T.is_infinity else single(O, a)
+            L = (single(INFINITY, a - 1).add(single(T)) if not T.is_infinity
+                 else single(INFINITY, a))
             V = h0(spec, L.neg())
             for vec in V.vectors:
                 if _nowhere_vanishing(spec, V, vec, curve):
@@ -173,11 +173,6 @@ def segre1(E_spec, method="auto", ext_degree=1):
                     "maximal-degree morphisms must embed as subbundles; "
                     "a vanishing one would saturate into an empty higher degree")
     raise InvariantViolation("no line subsheaf found above the universal bound")
-
-
-def _infty():
-    from .curve import INFINITY
-    return INFINITY
 
 
 # --------------------------------------------------------------------------
@@ -215,14 +210,6 @@ def _safe_sample_places(E_spec, basis, count=3):
     if not out:
         raise InvariantViolation("no pole-free sample place for endomorphism values")
     return out
-
-
-def _value_matrix(K, r, basis, coeffs, values_at):
-    m = [[K.zero] * r for _ in range(r)]
-    for c, (i, j, _) in zip(coeffs, basis):
-        if c != K.zero:
-            m[i][j] = K.add(m[i][j], K.mul(c, values_at[(i, j)]))
-    return m
 
 
 def _matrix_rank_le1_and_square_zero(K, m):

@@ -110,6 +110,12 @@ def test_input_errors_exit_1(tmp_path, capsys):
     bad.write_text("{\"field\": {\"kind\": \"prime\", \"p\": 6}}")
     code, out = run_inproc(["curve-info", "--instance", str(bad)], capsys)
     assert code == 1
+    doc = json.loads((INSTANCES / "estar.json").read_text())
+    for mult in (1.5, True, "1"):
+        doc["bundle"]["factors"][1][1]["mult"] = mult
+        bad.write_text(json.dumps(doc))
+        code, out = run_inproc(["segre", "--instance", str(bad)], capsys)
+        assert code == 1 and "not an integer" in json.loads(out)["error"]
 
 
 def test_byte_determinism_across_processes():

@@ -189,6 +189,13 @@ def test_curve_base_change_preserves_points(C7):
     assert len(big_pts) == 63
 
 
+def test_curve_base_change_is_built_once(C7):
+    assert C7.base_change(1) is C7
+    assert C7.base_change(2) is C7.base_change(2)
+    assert C7.base_change(3) is C7.base_change(3)
+    assert C7.base_change(3) is not C7.base_change(2)
+
+
 def test_place_divisor_serialization_roundtrip(C7):
     D = Divisor({Place(3, 1): 2, INFINITY: -2, Place(5, 6): 1})
     again = C7.divisor_from_json(C7.divisor_to_json(D))

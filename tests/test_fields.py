@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,70 @@ def test_extension_embedding_and_serialization():
     a = F.elt_from_json([2, 5])
     assert F.elt_to_json(a) == [2, 5]
     assert F.add(a, F.neg(a)) == F.zero
+
+
+def _digits(p, e, a):
+    return [(a // p ** i) % p for i in range(e)]
+
+
+def _undigits(p, ds):
+    return sum(c * p ** i for i, c in enumerate(ds))
+
+
+def _ref_add(p, e, a, b):
+    return _undigits(p, [(x + y) % p for x, y in zip(_digits(p, e, a), _digits(p, e, b))])
+
+
+def _ref_neg(p, e, a):
+    return _undigits(p, [(-x) % p for x in _digits(p, e, a)])
+
+
+def _ref_mul(p, modulus, a, b):
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(p, e, a)):
+        for j, y in enumerate(_digits(p, e, b)):
+            prod[i + j] += x * y
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i]
+        for j in range(e + 1):
+            prod[i - e + j] -= c * modulus[j]
+    return _undigits(p, [c % p for c in prod[:e]])
+
+
+def _check_pairs(F, pairs):
+    p, e = F.p, F.degree
+    for a, b in pairs:
+        assert F.add(a, b) == _ref_add(p, e, a, b), (a, b)
+        assert F.sub(a, b) == _ref_add(p, e, a, _ref_neg(p, e, b)), (a, b)
+        assert F.mul(a, b) == _ref_mul(p, F.modulus, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p, e", [(7, 2), (7, 3)])
+def test_extension_arithmetic_matches_digit_reference_exhaustively(p, e):
+    F = ExtensionField(p, find_irreducible(p, e))
+    for a in range(F.order):
+        assert F.neg(a) == _ref_neg(p, e, a)
+        if a:
+            assert F.mul(a, F.inv(a)) == F.one
+    _check_pairs(F, ((a, b) for a in range(F.order) for b in range(F.order)))
+
+
+def test_extension_arithmetic_matches_digit_reference_sampled():
+    F = ExtensionField(11, find_irreducible(11, 3))
+    rng = random.Random(1331)
+    elems = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(200)]
+    for a in elems:
+        assert F.neg(a) == _ref_neg(11, 3, a)
+    _check_pairs(F, [(a, b) for a in elems for b in elems])
+
+
+def test_characteristic_two_negation_is_identity():
+    F4 = ExtensionField(2, [1, 1, 1])       # t^2 + t + 1
+    for a in range(4):
+        assert F4.neg(a) == a
+        assert F4.add(a, a) == F4.zero
+        assert F4.sub(a, 1) == F4.add(a, 1)
 
 
 def test_rationals():
