@@ -12,6 +12,14 @@ produced internally and may carry several higher-order conditions at a
 place.  Twisted global sections are computed exactly: ambient sections
 come from Riemann-Roch bases factor by factor, and each condition
 contributes one linear row.
+
+A SectionBasis is a coefficient matrix over that ambient basis, never a
+list of summed functions.  The ambient functions are expanded once per
+place, at the largest precision asked for, and every section's component
+series is an exact linear combination of those expansions; subsystems
+(random or adversarial projections) and bases embedded over the same curve
+share the ambient basis and its expansions.  Expansion is linear modulo
+t^prec, so every coefficient read is the one the summed function gives.
 """
 
 from __future__ import annotations
@@ -169,15 +177,10 @@ def wedge(spec, n):
 
 
 def _complement_basis(field, covector):
-    """Reduced-echelon basis of the hyperplane covector^perp."""
+    """Reduced-echelon basis of the hyperplane covector^perp; for a direction
+    these are the covectors cutting 'value lies on the line through it'."""
     m = ExactMatrix.from_rows(field, [list(covector)])
     return mat_rank_kernel(m)[1]
-
-
-def _span_complement_conditions(field, direction):
-    """Covectors w with w . direction = 0, i.e. the conditions cutting
-    'value lies on the line through direction'."""
-    return _complement_basis(field, direction)
 
 
 def fiber_frame(spec, place):
@@ -233,7 +236,7 @@ def elementary_transform(spec, place, direction):
     frame = fiber_frame(spec, place)
     new_mods = []
     if frame is None:
-        for w in _span_complement_conditions(K, direction):
+        for w in _complement_basis(K, direction):
             new_mods.append(Modification(place, [(0, w)]))
     else:
         _, Binv = frame
@@ -241,7 +244,7 @@ def elementary_transform(spec, place, direction):
         # polar coefficient must stay proportional to the direction: one
         # membership condition plus the span conditions, both through B^{-1}
         new_mods.append(Modification(place, [(0, tuple(row[0]))]))
-        for w in _span_complement_conditions(K, direction):
+        for w in _complement_basis(K, direction):
             cov0 = [K.zero] * r
             for i in range(1, r):
                 if w[i] != K.zero:
@@ -289,49 +292,129 @@ def normalized_series(f, place, shift, prec):
     return exp.shift(shift)
 
 
-class SectionBasis:
-    """Basis of H^0 of a twisted bundle; vectors of function-field elements."""
+class AmbientBasis:
+    """The (slot, f) pairs with f running through a Riemann-Roch basis of
+    L(D_slot + twist), for each factor D_slot of a bundle.
 
-    def __init__(self, spec, twist, vectors):
-        self.spec = spec
+    Normalized expansions are computed once per place, at the largest
+    precision asked for so far, and truncated for smaller requests: the
+    coefficient tables of t^0 .. t^(prec-1) are what every section basis
+    over this ambient list combines.
+    """
+
+    def __init__(self, curve, factors, twist, pairs):
+        self.curve = curve
+        self.factors = factors
         self.twist = twist
-        self.vectors = vectors
+        self.pairs = pairs
+        self._tables = {}          # place -> (prec, one coefficient list per pair)
+        self._lifts = []           # (extension curve, AmbientBasis over it)
+
+    def shift(self, slot, place):
+        return self.twist.mult(place) + self.factors[slot].mult(place)
+
+    def table(self, place, prec):
+        got = self._tables.get(place)
+        if got is None or got[0] < prec:
+            shifts = [self.shift(i, place) for i in range(len(self.factors))]
+            rows = []
+            for slot, f in self.pairs:
+                ser = normalized_series(f, place, shifts[slot], prec)
+                rows.append([ser.coeff(j) for j in range(prec)])
+            got = (prec, rows)
+            self._tables[place] = got
+        return got[1]
+
+    def lift(self, big_curve):
+        """The same pairs over an extension curve, built once per curve."""
+        for big, lifted in self._lifts:
+            if big is big_curve:
+                return lifted
+        small = self.curve
+        lifted = AmbientBasis(
+            big_curve, [small.embed_divisor(f, big_curve) for f in self.factors],
+            small.embed_divisor(self.twist, big_curve),
+            [(slot, f.base_change(big_curve)) for slot, f in self.pairs])
+        self._lifts.append((big_curve, lifted))
+        return lifted
+
+
+class SectionBasis:
+    """Basis of H^0 of a twisted bundle, as a coefficient matrix over an
+    ambient basis: row c holds the coefficients of section c on the pairs."""
+
+    def __init__(self, spec, ambient, coeffs):
+        self.spec = spec
+        self.ambient = ambient
+        self.coeffs = coeffs
+        self._vectors = None
 
     @property
     def dimension(self):
-        return len(self.vectors)
+        return len(self.coeffs)
+
+    @property
+    def twist(self):
+        return self.ambient.twist
+
+    @property
+    def vectors(self):
+        """Each section as a vector of functions, summed on first use."""
+        if self._vectors is None:
+            K = self.spec.curve.field
+            zero = FunctionRep.zero(self.spec.curve)
+            self._vectors = []
+            for row in self.coeffs:
+                vec = [zero] * self.spec.rank
+                for c, (slot, f) in zip(row, self.ambient.pairs):
+                    if c != K.zero:
+                        vec[slot] = vec[slot].add(f.scalar_mul(c))
+                self._vectors.append(tuple(vec))
+        return self._vectors
 
     def component_shift(self, i, place):
-        return self.twist.add(self.spec.factors[i]).mult(place)
+        return self.ambient.shift(i, place)
+
+    def section_series(self, place, prec):
+        """Per section, the r normalized component series mod t^prec."""
+        K = self.spec.curve.field
+        zero = K.zero
+        table = self.ambient.table(place, prec)
+        out = []
+        for row in self.coeffs:
+            comps = [[zero] * prec for _ in range(self.spec.rank)]
+            for c, (slot, _), coeffs in zip(row, self.ambient.pairs, table):
+                if c == zero:
+                    continue
+                acc = comps[slot]
+                for j in range(prec):
+                    if coeffs[j] != zero:
+                        acc[j] = K.add(acc[j], K.mul(c, coeffs[j]))
+            out.append([LaurentSeries(K, 0, comp, prec) for comp in comps])
+        return out
 
     def normalized_value_matrix(self, place, orders=1):
         """Rows of normalized coefficient data at a place: for each section the
         concatenated coefficients of orders 0..orders-1 of each component."""
         K = self.spec.curve.field
-        rows = []
-        for vec in self.vectors:
-            row = []
-            for i, f in enumerate(vec):
-                m = self.component_shift(i, place)
-                ser = normalized_series(f, place, m, orders)
-                row.extend(ser.coeff(j) for j in range(orders))
-            rows.append(row)
+        rows = [[s.coeff(j) for s in comps for j in range(orders)]
+                for comps in self.section_series(place, orders)]
         return ExactMatrix.from_rows(K, rows) if rows else ExactMatrix(K, 0, 0)
 
     def check_independence(self):
         """Certify linear independence by evaluation at finitely many places."""
-        if not self.vectors:
+        if not self.coeffs:
             return True
         curve = self.spec.curve
         places = curve.points() if curve.field.is_finite else []
         K = curve.field
-        rows = [[] for _ in self.vectors]
+        rows = [[] for _ in self.coeffs]
         for place in places:
             m = self.normalized_value_matrix(place, orders=2)
-            for i in range(len(self.vectors)):
+            for i in range(len(self.coeffs)):
                 rows[i].extend(m.data[i])
             mat = ExactMatrix.from_rows(K, rows)
-            if mat_rank_kernel(mat)[0] == len(self.vectors):
+            if mat_rank_kernel(mat)[0] == len(self.coeffs):
                 return True
         return False
 
@@ -344,44 +427,34 @@ class SectionBasis:
 
 
 def h0(spec, twist=None):
-    """Exact basis of H^0(C, E(twist)) for a presented bundle E."""
+    """Exact basis of H^0(C, E(twist)) for a presented bundle E: the kernel of
+    the condition rows on the ambient basis of the split bundle."""
     curve = spec.curve
     K = curve.field
     if twist is None:
         twist = Divisor()
-    ambient = []           # (slot, FunctionRep)
-    for i, factor in enumerate(spec.factors):
-        for f in rr_basis(curve, factor.add(twist)):
-            ambient.append((i, f))
-    if not ambient:
-        return SectionBasis(spec, twist, [])
+    pairs = [(i, f) for i, factor in enumerate(spec.factors)
+             for f in rr_basis(curve, factor.add(twist))]
+    ambient = AmbientBasis(curve, spec.factors, twist, pairs)
+    if not pairs:
+        return SectionBasis(spec, ambient, [])
     rows = []
     for mod in spec.modifications:
-        upto = mod.max_order + 1
+        table = ambient.table(mod.place, mod.max_order + 1)
         row = []
-        for slot, f in ambient:
-            m = twist.add(spec.factors[slot]).mult(mod.place)
-            ser = normalized_series(f, mod.place, m, upto)
+        for (slot, _), coeffs in zip(pairs, table):
             acc = K.zero
             for order, cov in mod.terms:
                 if cov[slot] != K.zero:
-                    acc = K.add(acc, K.mul(cov[slot], ser.coeff(order)))
+                    acc = K.add(acc, K.mul(cov[slot], coeffs[order]))
             row.append(acc)
         rows.append(row)
     if rows:
         _, kernel = mat_rank_kernel(ExactMatrix.from_rows(K, rows))
     else:
-        kernel = [[K.one if j == i else K.zero for j in range(len(ambient))]
-                  for i in range(len(ambient))]
-    zero = FunctionRep.zero(curve)
-    vectors = []
-    for combo in kernel:
-        vec = [zero] * spec.rank
-        for coeff, (slot, f) in zip(combo, ambient):
-            if coeff != K.zero:
-                vec[slot] = vec[slot].add(f.scalar_mul(coeff))
-        vectors.append(tuple(vec))
-    return SectionBasis(spec, twist, vectors)
+        kernel = [[K.one if j == i else K.zero for j in range(len(pairs))]
+                  for i in range(len(pairs))]
+    return SectionBasis(spec, ambient, kernel)
 
 
 def chi_h1(spec, twist=None):

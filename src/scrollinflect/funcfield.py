@@ -143,10 +143,6 @@ class FunctionRep:
         return cls(curve, [curve.field.one], [], [curve.field.one])
 
     @classmethod
-    def constant(cls, curve, c):
-        return cls(curve, [c], [], [curve.field.one])
-
-    @classmethod
     def coordinate_x(cls, curve):
         K = curve.field
         return cls(curve, [K.zero, K.one], [], [K.one])
@@ -208,6 +204,12 @@ class FunctionRep:
         K = self.curve.field
         return FunctionRep(self.curve, pscal(K, c, self.n0), pscal(K, c, self.n1), self.d0)
 
+    def base_change(self, big_curve):
+        """The same function on the base change of its curve."""
+        emb = big_curve.field.embed
+        return FunctionRep(big_curve, [emb(c) for c in self.n0],
+                           [emb(c) for c in self.n1], [emb(c) for c in self.d0])
+
     # -- evaluation and expansion --------------------------------------------------
     def evaluate(self, place):
         """Exact value at an affine place where the denominator does not vanish."""
@@ -242,9 +244,10 @@ class FunctionRep:
             raise DomainError("cannot expand the zero function")
         self.curve.check_place(place)
         bound = self._pole_bound() + max(precision, 0) + 8
-        # _halves pads the parametrisation already; extra slack is only
-        # added when the tracked precision comes out short
-        slack = 0
+        # _halves pads the parametrisation already; the first pass adds what
+        # inverting the denominator costs, and more slack is only added when
+        # the tracked precision still comes out short
+        slack = self._denominator_slack(place, precision)
         while True:
             num, den = self._halves(place, precision + slack)
             if num.coeffs and den.coeffs:
@@ -262,6 +265,23 @@ class FunctionRep:
             if slack > 8 * bound + 256:
                 raise InvariantViolation(
                     "expansion failed to stabilise within the vanishing bound")
+
+    def _denominator_slack(self, place, precision):
+        """Working precision that 1/d0 needs beyond the pad of _halves.
+
+        At an affine place d0(x(t)) starts at t^v, v the multiplicity of x0
+        as a root of d0 (doubled where t = y): t^v must be visible mod t^N,
+        and inverting it costs 2v orders; the affine pad covers 4 of them.
+        """
+        if place.is_infinity:
+            return 0
+        K = self.curve.field
+        d, mult = self.d0, 0
+        while len(d) > 1 and peval(K, d, place.x) == K.zero:
+            d = pdivmod(K, d, [K.neg(place.x), K.one])[0]
+            mult += 1
+        v = 2 * mult if place.y == K.zero else mult
+        return max(0, 2 * v - 4, v - 3 - precision)
 
     def ord_at(self, place):
         """Order of vanishing (negative for a pole) at the place."""

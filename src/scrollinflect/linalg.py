@@ -57,17 +57,6 @@ class ExactMatrix:
         K = self.field
         return [K.dot(row, v) for row in self.data]
 
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise InputError("inner dimensions disagree")
-        K = self.field
-        out = ExactMatrix(K, self.rows, other.cols)
-        tcols = other.transpose().data
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.data[i] = [K.dot(ri, col) for col in tcols]
-        return out
-
     def is_zero(self):
         z = self.field.zero
         return all(v == z for row in self.data for v in row)

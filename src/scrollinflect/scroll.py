@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from itertools import product
 
+# normalized_series is re-exported: theorems expands explicit vectors with it
 from .bundle import (SectionBasis, dual_twist, elementary_transform,
                      fiber_frame, h0, normalized_series)
 from .curve import single
 from .errors import InputError, InvariantViolation, Unsupported
-from .funcfield import FunctionRep
 from .linalg import EchelonAccumulator, ExactMatrix, mat_rank_kernel
 from .series import LaurentSeries
 
@@ -106,31 +106,41 @@ def alpha_series(E_spec, sections, place, k_max):
     fibre at the place, with at least k_max + 1 correct coefficients."""
     K = E_spec.curve.field
     frame = fiber_frame(E_spec, place)
-    prec = k_max + 2 + _GUARD_TERMS
-    r = E_spec.rank
+    fhats = sections.section_series(place, k_max + 2 + _GUARD_TERMS)
+    if frame is None:
+        return fhats
+    B, _ = frame
+    columns = B.transpose().data
     out = []
-    for vec in sections.vectors:
-        fhat = [normalized_series(vec[i], place, sections.component_shift(i, place),
-                                  prec) for i in range(r)]
-        if frame is None:
-            out.append(fhat)
-            continue
-        B, _ = frame
-        alpha = []
-        for j in range(r):
-            s = LaurentSeries.zero(K, prec)
-            for i in range(r):
-                c = B.data[i][j]
-                if c != K.zero:
-                    s = s.add(fhat[i].scalar_mul(c))
-            if j == 0:
-                alpha.append(s)
-            else:
-                if s.coeff(0) != K.zero:
-                    raise InvariantViolation(
-                        "dual section has an illegal polar part at a modified place")
-                alpha.append(s.shift(-1))
+    for fhat in fhats:
+        alpha = [_combo_series(K, columns[0], fhat)]
+        for col in columns[1:]:
+            s = _combo_series(K, col, fhat)
+            if s.coeff(0) != K.zero:
+                raise InvariantViolation(
+                    "dual section has an illegal polar part at a modified place")
+            alpha.append(s.shift(-1))
         out.append(alpha)
+    return out
+
+
+def lead_vectors(E_spec, place, series):
+    """Fibre value at the place of each section given by its normalized
+    component series (at least two coefficients), in the frame of
+    bundle.fiber_frame: at a conditioned place the first coordinate is read
+    one order up, where the carried condition leaves it."""
+    K = E_spec.curve.field
+    frame = fiber_frame(E_spec, place)
+    if frame is None:
+        return [tuple(s.coeff(0) for s in fhat) for fhat in series]
+    _, Binv = frame
+    out = []
+    for fhat in series:
+        zeta = [_combo_series(K, row, fhat) for row in Binv.data]
+        if zeta[0].coeff(0) != K.zero:
+            raise InvariantViolation(
+                "section violates the carried condition at a modified place")
+        out.append(tuple([zeta[0].coeff(1)] + [z.coeff(0) for z in zeta[1:]]))
     return out
 
 
@@ -280,21 +290,8 @@ def subsheaf_witnesses(E_spec, M, place, k):
     if M.degree != 0:
         raise InputError("the twist class must have degree zero")
     V = h0(E_spec, M.neg().add(single(place, k + 1)))
-    frame = fiber_frame(E_spec, place)
-    r = E_spec.rank
-    acc = EchelonAccumulator(K, r)
-    for vec in V.vectors:
-        fhat = [normalized_series(vec[i], place, V.component_shift(i, place), 3)
-                for i in range(r)]
-        if frame is None:
-            lead = [s.coeff(0) for s in fhat]
-        else:
-            _, Binv = frame
-            zeta = [_combo_series(K, Binv.data[i], fhat) for i in range(r)]
-            if zeta[0].coeff(0) != K.zero:
-                raise InvariantViolation(
-                    "section violates the carried condition at a modified place")
-            lead = [zeta[0].coeff(1)] + [zeta[i].coeff(0) for i in range(1, r)]
+    acc = EchelonAccumulator(K, E_spec.rank)
+    for lead in lead_vectors(E_spec, place, V.section_series(place, 3)):
         acc.insert(lead)
     basis = [tuple(row) for row in acc.rows]
     directions = projective_points(K, basis) if K.is_finite else []
@@ -409,21 +406,15 @@ class ScanContext:
 
 
 def embed_section_basis(sections, dual_big, big_curve):
-    vectors = [tuple(embed_function(f, big_curve) for f in vec)
-               for vec in sections.vectors]
-    return SectionBasis(dual_big, sections.twist if big_curve is sections.spec.curve
-                        else sections.spec.curve.embed_divisor(sections.twist, big_curve),
-                        vectors)
-
-
-def embed_function(f, big_curve):
-    K = big_curve.field
-    emb = K.embed
-
-    def conv(poly):
-        return [emb(c) for c in poly]
-
-    return FunctionRep(big_curve, conv(f.n0), conv(f.n1), conv(f.d0))
+    """The sections as sections of dual_big.  Over the same curve they keep
+    their ambient basis and its expansions; over an extension the ambient
+    basis is lifted (once per curve) and the coefficients are embedded."""
+    if big_curve is sections.spec.curve:
+        return SectionBasis(dual_big, sections.ambient, sections.coeffs)
+    ambient = sections.ambient.lift(big_curve)
+    emb = big_curve.field.embed
+    return SectionBasis(dual_big, ambient,
+                        [[emb(c) for c in row] for row in sections.coeffs])
 
 
 class FiberDeficiency:
@@ -663,17 +654,12 @@ def project_system(sections, m_plus_1, seed):
 
 
 def _combo_basis(sections, rows):
+    """The subsystem spanned by rows x sections: rows x coeffs over the same
+    ambient basis, so it reads the expansions the full system made."""
     K = sections.spec.curve.field
-    zero = FunctionRep.zero(sections.spec.curve)
-    vectors = []
-    for row in rows:
-        vec = [zero] * sections.spec.rank
-        for coeff, svec in zip(row, sections.vectors):
-            if coeff != K.zero:
-                for i in range(len(vec)):
-                    vec[i] = vec[i].add(svec[i].scalar_mul(coeff))
-        vectors.append(tuple(vec))
-    out = SectionBasis(sections.spec, sections.twist, vectors)
+    columns = list(zip(*sections.coeffs))
+    coeffs = [[K.dot(row, col) for col in columns] for row in rows]
+    out = SectionBasis(sections.spec, sections.ambient, coeffs)
     out.combo_rows = [list(r) for r in rows]
     return out
 

@@ -18,8 +18,8 @@ from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import ExactMatrix, mat_rank_kernel
-from .scroll import (ScanContext, ScrollPoint, fiber_frame, normalized_series,
-                     projective_points, scan_report, _combo_series)
+from .scroll import (ScanContext, ScrollPoint, lead_vectors, normalized_series,
+                     projective_points, scan_report)
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -98,29 +98,29 @@ class SegreReport:
         return out
 
 
-def section_lead_vector(E_spec, sections, vec, place):
-    """Normalized fibre value of a twisted section, in the frame of the place."""
-    K = E_spec.curve.field
-    r = E_spec.rank
-    frame = fiber_frame(E_spec, place)
-    fhat = [normalized_series(vec[i], place, sections.component_shift(i, place), 3)
-            for i in range(r)]
-    if frame is None:
-        return tuple(s.coeff(0) for s in fhat)
-    _, Binv = frame
-    zeta = [_combo_series(K, Binv.data[i], fhat) for i in range(r)]
-    if zeta[0].coeff(0) != K.zero:
-        raise InvariantViolation("section violates the carried fibre condition")
-    return tuple([zeta[0].coeff(1)] + [zeta[i].coeff(0) for i in range(1, r)])
-
-
 def _nowhere_vanishing(E_spec, sections, vec, curve):
-    K = curve.field
-    zero = tuple([K.zero] * E_spec.rank)
+    """Whether a vector of functions, twisted like the sections, has a
+    nonzero fibre value at every rational place."""
+    zero = tuple([curve.field.zero] * E_spec.rank)
     for place in curve.points():
-        if section_lead_vector(E_spec, sections, vec, place) == zero:
+        fhat = [normalized_series(f, place, sections.component_shift(i, place), 3)
+                for i, f in enumerate(vec)]
+        if lead_vectors(E_spec, place, [fhat])[0] == zero:
             return False
     return True
+
+
+def _first_nowhere_vanishing(E_spec, sections, curve):
+    """Index of the first basis section with a nonzero fibre value at every
+    rational place, or None."""
+    zero = tuple([curve.field.zero] * E_spec.rank)
+    alive = list(range(sections.dimension))
+    for place in curve.points():
+        if not alive:
+            break
+        leads = lead_vectors(E_spec, place, sections.section_series(place, 3))
+        alive = [c for c in alive if leads[c] != zero]
+    return alive[0] if alive else None
 
 
 def segre1(E_spec, method="auto", ext_degree=1):
@@ -163,11 +163,11 @@ def segre1(E_spec, method="auto", ext_degree=1):
             L = (single(INFINITY, a - 1).add(single(T)) if not T.is_infinity
                  else single(INFINITY, a))
             V = h0(spec, L.neg())
-            for vec in V.vectors:
-                if _nowhere_vanishing(spec, V, vec, curve):
-                    witness = {"degree": a, "class_divisor": L, "section": vec}
-                    return SegreReport(d - r * a, "bruteforce", (lo, hi), witness,
-                                       ext_degree, curve=curve)
+            c = _first_nowhere_vanishing(spec, V, curve)
+            if c is not None:
+                witness = {"degree": a, "class_divisor": L, "section": V.vectors[c]}
+                return SegreReport(d - r * a, "bruteforce", (lo, hi), witness,
+                                   ext_degree, curve=curve)
             if V.dimension > 0:
                 raise InvariantViolation(
                     "maximal-degree morphisms must embed as subbundles; "
@@ -661,12 +661,15 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
     """Random subsystems keep the low-order inflection behaviour of the full
     system; an engineered subsystem shows the genericity hypothesis matters.
 
-    A draw is accepted as general when its centre avoids the scanned
-    osculating spans of all lower orders (the computable part of the dense
-    open condition behind the statement); the acceptance fraction is
-    reported and must stay above one half.  Matching for accepted draws is
-    then established through the projected-scan machinery, which shares no
-    code path with the acceptance test.
+    The full system, every random draw and the adversarial system are
+    coefficient rows over one ambient basis, so all of them read the same
+    expansions.  A draw is accepted as general when its centre avoids the
+    scanned osculating spans of all lower orders (the computable part of
+    the dense open condition behind the statement): the centre's residues
+    are tested against the full system's order matrices.  The acceptance
+    fraction is reported and must stay above one half.  An accepted draw
+    matches when place_scan ranks of its own order matrices give the full
+    system's d_k and deficiency sets at every lower order.
     """
     from .scroll import adversarial_projection, osc_dim, project_system
 
@@ -678,7 +681,8 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
     r = E_spec.rank
     k_m = (m_plus_1 - 1) // r
     k_top = max(k_m, 1)
-    full_ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=k_top)
+    full_ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=k_top,
+                           sections=full_sections)
     full_reports = {k: scan_report(full_ctx, k, cross_check=False)
                     for k in range(k_top + 1)}
     d_full = {k: full_reports[k].d_k for k in full_reports}

@@ -1,8 +1,10 @@
-"""Pinned stdout of four F_49 commands.
+"""Pinned stdout of commands whose output refactors must leave unchanged.
 
-The hashes were recorded before the log/Zech-log arithmetic, the memoised
-base change and the slack-free expansion went in; all three must leave
-every output byte unchanged.
+GOLDEN pins four F_49 commands; their hashes were recorded before the
+log/Zech-log arithmetic, the memoised base change and the slack-free
+expansion went in.  PROJECTION pins `verify appendixA` and `project`; their
+hashes were recorded before sections became coefficient rows over an
+ambient Riemann-Roch basis, which random and adversarial subsystems share.
 """
 
 import hashlib
@@ -26,11 +28,33 @@ GOLDEN = [
      "ad23db3c44a13b00badf7dde205cda0b85745ea604f46ebef1d32050afadd1ad"),
 ]
 
+PROJECTION = [
+    (["verify", "appendixA", "--instance", "estar.json", "--m", "5"],
+     "a380724d2b18492851a7c42473e19067e6ce735845bfb1474a34df63252ec35a"),
+    (["verify", "appendixA", "--instance", "esharp.json", "--m", "3"],
+     "8d7990ff605c8e77917ec40337fe5b697e0b0801411a231438d2a0212b3df54f"),
+    (["verify", "appendixA", "--instance", "eflat.json", "--m", "3"],
+     "f65e01b9cf25084e0479a7da7d381eacb2efc7db47ac6008320cdb75937a5e86"),
+    (["project", "--instance", "estar.json", "--m", "5", "--seed", "3"],
+     "2f8ab5a587f6984c8bf9613d2905be73bac4231d7f1def4746789b69510ac451"),
+]
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[g[0][0] for g in GOLDEN])
-def test_extension_field_output_is_pinned(argv, digest, capsys):
+
+def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[g[0][0] for g in GOLDEN])
+def test_extension_field_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", PROJECTION,
+                         ids=["appendixA-estar", "appendixA-esharp",
+                              "appendixA-eflat", "project-estar"])
+def test_projection_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest

@@ -1,9 +1,10 @@
 import pytest
 
-from scrollinflect.bundle import BundleSpec, dual_twist, h0
+from scrollinflect.bundle import BundleSpec, dual_twist, h0, normalized_series
 from scrollinflect.curve import Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
-from scrollinflect.scroll import (ScanContext, ScrollPoint, adversarial_projection,
+from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
+                                  adversarial_projection, embed_section_basis,
                                   global_generation_check, infl_scan, jet_matrix,
                                   osc_dim, osc_dim_oracle, project_system,
                                   projective_points, scan_report, standard_basis,
@@ -243,3 +244,32 @@ def test_projective_point_enumeration(F7):
     assert len(set(pts)) == 8
     pts3 = projective_points(F7, standard_basis(F7, 3))
     assert len(pts3) == 57
+
+
+@pytest.mark.parametrize("name", ["estar", "esharp"])
+def test_section_series_is_linear_in_the_coefficients(name, request, C7, rng):
+    """Combining ambient expansions equals expanding the summed functions,
+    over F_7 and, through an embedded basis, at a sample of F_49 places."""
+    E = request.getfixturevalue(name)
+    V = h0(dual_twist(E, M0))
+    K = C7.field
+    big = C7.base_change(2)
+    dual_big = dual_twist(E.base_change(big), M0)
+    for _ in range(3):
+        rows = [[rng.randrange(K.order) for _ in range(V.dimension)]
+                for _ in range(3)]
+        W = _combo_basis(V, rows)
+        assert W.ambient is V.ambient
+        Wb = embed_section_basis(W, dual_big, big)
+        for vec, vec_big in zip(W.vectors, Wb.vectors):
+            assert [f.base_change(big) for f in vec] == list(vec_big)
+        for basis, places in [(W, C7.points()), (Wb, rng.sample(big.points(), 6))]:
+            for place in places:
+                for prec in (6, 3):          # the second request truncates
+                    series = basis.section_series(place, prec)
+                    for vec, comps in zip(basis.vectors, series):
+                        for i, (f, s) in enumerate(zip(vec, comps)):
+                            shift = basis.component_shift(i, place)
+                            ref = normalized_series(f, place, shift, prec)
+                            assert [s.coeff(j) for j in range(prec)] == \
+                                [ref.coeff(j) for j in range(prec)]
