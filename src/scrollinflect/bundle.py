@@ -260,23 +260,6 @@ def elementary_transform(spec, place, direction):
     return BundleSpec(spec.curve, bumped, other + new_mods)
 
 
-def bundle_make(curve, factors, modifications=(), derived=None):
-    """Validated constructor plus optional derived-bundle step."""
-    mods = [m if isinstance(m, Modification) else Modification.simple(*m)
-            for m in modifications]
-    spec = BundleSpec(curve, factors, mods).validate_presentation()
-    if derived is None:
-        return spec
-    op, args = derived
-    if op == "dual_twist":
-        return dual_twist(spec, *args)
-    if op == "wedge":
-        return wedge(spec, *args)
-    if op == "elementary_transform":
-        return elementary_transform(spec, *args)
-    raise InputError(f"unknown derived operation {op!r}")
-
-
 # --------------------------------------------------------------------------
 # twisted global sections
 

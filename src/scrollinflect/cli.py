@@ -103,39 +103,33 @@ def cmd_sections(inst, args):
     return {"command": "sections", "reports": reports}
 
 
-def _osc_reports(inst, k, cross_check):
-    reports = []
-    for M in inst.twists():
-        ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree, k_max=k)
-        rep = scan_report(ctx, k, cross_check=cross_check)
-        if cross_check and rep.oracle_agreement is False:
-            raise InvariantViolation(
-                "jet-rank and pole-counting osculating dimensions disagree: "
-                + json.dumps(rep.to_json(), sort_keys=True))
-        if cross_check and rep.witness_match is False:
-            raise InvariantViolation(
-                "deficiency set and subsheaf witnesses disagree: "
-                + json.dumps(rep.to_json(), sort_keys=True))
-        reports.append(rep.to_json())
-    return reports
+def _checked_report(ctx, k):
+    """scan_report at order k as JSON, with both cross-checks; a disagreement
+    between routes is an invariant violation (exit 2)."""
+    rep = scan_report(ctx, k, cross_check=True)
+    if rep.oracle_agreement is False:
+        raise InvariantViolation(
+            "jet-rank and pole-counting osculating dimensions disagree: "
+            + json.dumps(rep.to_json(), sort_keys=True))
+    if rep.witness_match is False:
+        raise InvariantViolation(
+            "deficiency set and subsheaf witnesses disagree: "
+            + json.dumps(rep.to_json(), sort_keys=True))
+    return rep.to_json()
 
 
 def cmd_osc(inst, args):
-    return {"command": "osc", "k": inst.k,
-            "reports": _osc_reports(inst, inst.k, cross_check=True)}
+    reports = [_checked_report(ScanContext(inst.bundle, M, ext_degree=inst.ext_degree,
+                                           k_max=inst.k), inst.k)
+               for M in inst.twists()]
+    return {"command": "osc", "k": inst.k, "reports": reports}
 
 
 def cmd_scan(inst, args):
     out = []
     for M in inst.twists():
         ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree, k_max=inst.k)
-        for k in range(inst.k + 1):
-            rep = scan_report(ctx, k, cross_check=True)
-            if rep.oracle_agreement is False or rep.witness_match is False:
-                raise InvariantViolation(
-                    "cross-check failure: " + json.dumps(rep.to_json(),
-                                                         sort_keys=True))
-            out.append(rep.to_json())
+        out.extend(_checked_report(ctx, k) for k in range(inst.k + 1))
     return {"command": "scan", "reports": out}
 
 
@@ -177,7 +171,7 @@ def cmd_project(inst, args):
 def cmd_segre(inst, args):
     method = args.method or "auto"
     rep = segre1(inst.bundle, method=method, ext_degree=inst.ext_degree)
-    out = rep.to_json(inst.curve)
+    out = rep.to_json()
     out["command"] = "segre"
     return out
 

@@ -43,9 +43,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a):
-        return a == self.zero
-
     def dot(self, xs, ys):
         acc = self.zero
         for x, y in zip(xs, ys):

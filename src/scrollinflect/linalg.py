@@ -12,7 +12,7 @@ from .errors import InputError
 class ExactMatrix:
     """Dense matrix over one exact field; rows stored as lists of raw values."""
 
-    def __init__(self, field, rows, cols, entries=None, validate=False):
+    def __init__(self, field, rows, cols, entries=None):
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -28,10 +28,6 @@ class ExactMatrix:
                 if len(entries) != rows * cols:
                     raise InputError("entry count does not match rows*cols")
                 self.data = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
-        if validate:
-            for row in self.data:
-                for v in row:
-                    field.validate(v)
 
     @classmethod
     def identity(cls, field, n):
@@ -45,9 +41,6 @@ class ExactMatrix:
         rows = [list(r) for r in rows]
         cols = len(rows[0]) if rows else 0
         return cls(field, len(rows), cols, rows)
-
-    def copy(self):
-        return ExactMatrix(self.field, self.rows, self.cols, [r[:] for r in self.data])
 
     def transpose(self):
         return ExactMatrix(self.field, self.cols, self.rows,
@@ -112,25 +105,6 @@ def mat_rank_kernel(matrix):
             v[pc] = K.neg(rows[i][fc])
         kernel.append(v)
     return rank, kernel
-
-
-def mat_rank(matrix):
-    _, pivots = rref(matrix)
-    return len(pivots)
-
-
-def solve_right(matrix, rhs):
-    """One solution of M x = rhs, or None if inconsistent."""
-    K = matrix.field
-    aug = ExactMatrix(K, matrix.rows, matrix.cols + 1,
-                      [row + [rhs[i]] for i, row in enumerate(matrix.data)])
-    rows, pivots = rref(aug)
-    if matrix.cols in pivots:
-        return None
-    x = [K.zero] * matrix.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][matrix.cols]
-    return x
 
 
 class EchelonAccumulator:

@@ -258,28 +258,23 @@ class WitnessSet:
     """Directions at a place reached by degree -(k+1) invertible subsheaves
     that embed as subbundles there."""
 
-    def __init__(self, place, k, basis, directions):
+    def __init__(self, place, k, span, directions):
         self.place = place
         self.k = k
-        self.basis = basis          # spanning vectors of the direction space
+        self.span = span            # EchelonAccumulator of the direction space
         self.directions = directions
 
     @property
     def is_empty(self):
-        return not self.basis
+        return self.span.rank == 0
 
     @property
     def is_whole_fiber(self):
-        return self.basis and len(self.basis) == len(self.basis[0])
+        return self.span.rank == self.span.ncols
 
-    def contains(self, field, direction):
-        if not self.basis:
-            return False
-        rows = [list(b) for b in self.basis]
-        acc = EchelonAccumulator(field, len(direction))
-        for rw in rows:
-            acc.insert(rw)
-        return not any(c != field.zero for c in acc.residue(list(direction)))
+    def contains(self, direction):
+        K = self.span.field
+        return not any(c != K.zero for c in self.span.residue(direction))
 
 
 def subsheaf_witnesses(E_spec, M, place, k):
@@ -293,9 +288,8 @@ def subsheaf_witnesses(E_spec, M, place, k):
     acc = EchelonAccumulator(K, E_spec.rank)
     for lead in lead_vectors(E_spec, place, V.section_series(place, 3)):
         acc.insert(lead)
-    basis = [tuple(row) for row in acc.rows]
-    directions = projective_points(K, basis) if K.is_finite else []
-    return WitnessSet(place, k, basis, directions)
+    directions = projective_points(K, acc.rows) if K.is_finite else []
+    return WitnessSet(place, k, acc, directions)
 
 
 # --------------------------------------------------------------------------
@@ -504,21 +498,17 @@ def _fiber_size(field, r):
 
 
 def _classify(ctx, scans, threshold):
-    out = []
+    """The fibres with rank(p, v) < threshold for some direction v, as
+    FiberDeficiency records in place order; a subspace record enumerates its
+    directions only when it is drawn."""
+    K = ctx.curve.field
+    size = _fiber_size(K, ctx.E.rank)
     for place in ctx.places:
-        ps = scans[place]
-        mode, basis = ps.deficient_classification(threshold)
-        if mode == "none":
-            continue
+        mode, basis = scans[place].deficient_classification(threshold)
         if mode == "all":
-            out.append(FiberDeficiency(place, "all", [],
-                                       _fiber_size(ctx.curve.field, ctx.E.rank)))
-        else:
-            dirs = projective_points(ctx.curve.field, basis)
-            if dirs:
-                out.append(FiberDeficiency(place, "subspace", dirs,
-                                           _fiber_size(ctx.curve.field, ctx.E.rank)))
-    return out
+            yield FiberDeficiency(place, "all", [], size)
+        elif mode == "subspace":
+            yield FiberDeficiency(place, "subspace", projective_points(K, basis), size)
 
 
 def scan_report(ctx, k, cross_check=True, oracle_samples=2):
@@ -526,9 +516,8 @@ def scan_report(ctx, k, cross_check=True, oracle_samples=2):
     scans = ctx.scan_level(k)
     d_k_plus_1 = max((scans[p].max_rank() for p in ctx.places), default=0)
     d_k = d_k_plus_1 - 1
-    relative = _classify(ctx, scans, d_k_plus_1)
-    subfull_threshold = k * ctx.E.rank + 1
-    subfull = _classify(ctx, scans, subfull_threshold)
+    relative = list(_classify(ctx, scans, d_k_plus_1))
+    subfull = list(_classify(ctx, scans, k * ctx.E.rank + 1))
     oracle_ok = None
     witness_ok = None
     if cross_check:
@@ -563,7 +552,6 @@ def _oracle_cross_check(ctx, k, scans, samples):
 
 def _witness_cross_check(ctx, k, scans, subfull):
     """Both directions of the parameter-space correspondence on this scan."""
-    K = ctx.curve.field
     witness_cache = {}
 
     def witnesses(place, level):
@@ -582,7 +570,7 @@ def _witness_cross_check(ctx, k, scans, subfull):
             if not wk.is_whole_fiber:
                 return False
         else:
-            if not all(wk.contains(K, d) for d in rec.directions):
+            if not all(wk.contains(d) for d in rec.directions):
                 return False
     # soundness: every witness direction at level k is a subfull point
     for place in ctx.places:

@@ -153,15 +153,3 @@ class LaurentSeries:
         terms = [f"{c}*t^{self.val + i}" for i, c in enumerate(self.coeffs) if c != K.zero]
         return " + ".join(terms) + f" + O(t^{self.prec})"
 
-
-def laurent_arith(a, b=None, op="add", truncate_at=None):
-    """Dispatcher matching the module contract: op in {mul, add, invert, truncate}."""
-    if op == "mul":
-        return a.mul(b)
-    if op == "add":
-        return a.add(b)
-    if op == "invert":
-        return a.invert()
-    if op == "truncate":
-        return a.truncate(truncate_at)
-    raise ValueError(f"unknown op {op!r}")

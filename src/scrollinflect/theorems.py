@@ -17,9 +17,9 @@ from .bundle import chi_h1, dual_twist, h0, wedge
 from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
-from .linalg import ExactMatrix, mat_rank_kernel
-from .scroll import (ScanContext, ScrollPoint, lead_vectors, normalized_series,
-                     projective_points, scan_report)
+from .linalg import EchelonAccumulator, ExactMatrix, mat_rank_kernel
+from .scroll import (ScanContext, ScrollPoint, _classify, lead_vectors,
+                     normalized_series, scan_report)
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -77,7 +77,7 @@ def specialcases_ranges(r, d, g):
 
 
 class SegreReport:
-    def __init__(self, s1, method, window, witness, ext_degree=1, curve=None):
+    def __init__(self, s1, method, window, witness, curve, ext_degree=1):
         self.s1 = s1
         self.method = method
         self.window = window
@@ -85,14 +85,13 @@ class SegreReport:
         self.ext_degree = ext_degree
         self.curve = curve                 # curve the witness lives on
 
-    def to_json(self, curve=None):
-        curve = self.curve or curve
+    def to_json(self):
         out = {"s1": self.s1, "method": self.method,
                "window": list(self.window), "ext_degree": self.ext_degree}
-        if self.witness and curve is not None:
+        if self.witness:
             out["witness"] = {
                 "degree": self.witness["degree"],
-                "class": curve.divisor_to_json(self.witness["class_divisor"]),
+                "class": self.curve.divisor_to_json(self.witness["class_divisor"]),
                 "section": [f.to_str() for f in self.witness["section"]],
             }
         return out
@@ -147,8 +146,7 @@ def segre1(E_spec, method="auto", ext_degree=1):
         unit[best] = FunctionRep.one(E_spec.curve)
         witness = {"degree": hi, "class_divisor": E_spec.factors[best],
                    "section": tuple(unit)}
-        return SegreReport(d - r * hi, "formula", (lo, hi), witness,
-                           curve=E_spec.curve)
+        return SegreReport(d - r * hi, "formula", (lo, hi), witness, E_spec.curve)
     if method != "bruteforce":
         raise InputError(f"unknown method {method!r}")
     base_curve = E_spec.curve
@@ -167,7 +165,7 @@ def segre1(E_spec, method="auto", ext_degree=1):
             if c is not None:
                 witness = {"degree": a, "class_divisor": L, "section": V.vectors[c]}
                 return SegreReport(d - r * a, "bruteforce", (lo, hi), witness,
-                                   ext_degree, curve=curve)
+                                   curve, ext_degree)
             if V.dimension > 0:
                 raise InvariantViolation(
                     "maximal-degree morphisms must embed as subbundles; "
@@ -212,22 +210,23 @@ def _safe_sample_places(E_spec, basis, count=3):
     return out
 
 
-def _matrix_rank_le1_and_square_zero(K, m):
+def _rank_le1_and_square_zero(m, add, sub, mul, is_zero):
+    """Whether the square matrix m has every 2x2 minor zero and m * m = 0,
+    with entries in a commutative ring given by its operations."""
     r = len(m)
     for i1 in range(r):
         for i2 in range(i1 + 1, r):
             for j1 in range(r):
                 for j2 in range(j1 + 1, r):
-                    det = K.sub(K.mul(m[i1][j1], m[i2][j2]),
-                                K.mul(m[i1][j2], m[i2][j1]))
-                    if det != K.zero:
+                    if not is_zero(sub(mul(m[i1][j1], m[i2][j2]),
+                                       mul(m[i1][j2], m[i2][j1]))):
                         return False
     for i in range(r):
         for j in range(r):
-            acc = K.zero
-            for k in range(r):
-                acc = K.add(acc, K.mul(m[i][k], m[k][j]))
-            if acc != K.zero:
+            acc = mul(m[i][0], m[0][j])
+            for k in range(1, r):
+                acc = add(acc, mul(m[i][k], m[k][j]))
+            if not is_zero(acc):
                 return False
     return True
 
@@ -254,6 +253,9 @@ def nilpotent_rank1_exists(E_spec):
                         for place in samples]
     elements = list(K.elements())
     zero_f = FunctionRep.zero(curve)
+    field_ops = (K.add, K.sub, K.mul, lambda a: a == K.zero)
+    function_ops = (FunctionRep.add, FunctionRep.sub, FunctionRep.mul,
+                    FunctionRep.is_zero)
     for lead in range(dim):
         for tail in product(elements, repeat=dim - lead - 1):
             coeffs = [K.zero] * lead + [K.one] + list(tail)
@@ -263,7 +265,7 @@ def nilpotent_rank1_exists(E_spec):
                 for c, v, (i, j, _) in zip(coeffs, values, basis):
                     if c != K.zero and v != K.zero:
                         m[i][j] = K.add(m[i][j], K.mul(c, v))
-                if not _matrix_rank_le1_and_square_zero(K, m):
+                if not _rank_le1_and_square_zero(m, *field_ops):
                     ok = False
                     break
             if not ok:
@@ -272,33 +274,10 @@ def nilpotent_rank1_exists(E_spec):
             for c, (i, j, f) in zip(coeffs, basis):
                 if c != K.zero:
                     phi[i][j] = phi[i][j].add(f.scalar_mul(c))
-            if _exact_rank1_nilpotent(phi):
+            if any(not f.is_zero() for row in phi for f in row) and \
+                    _rank_le1_and_square_zero(phi, *function_ops):
                 return True, {"dim": dim, "witness_coeffs": coeffs}
     return False, {"dim": dim, "witness_coeffs": None}
-
-
-def _exact_rank1_nilpotent(phi):
-    r = len(phi)
-    nonzero = any(not phi[i][j].is_zero() for i in range(r) for j in range(r))
-    if not nonzero:
-        return False
-    for i1 in range(r):
-        for i2 in range(i1 + 1, r):
-            for j1 in range(r):
-                for j2 in range(j1 + 1, r):
-                    det = phi[i1][j1].mul(phi[i2][j2]).sub(
-                        phi[i1][j2].mul(phi[i2][j1]))
-                    if not det.is_zero():
-                        return False
-    for i in range(r):
-        for j in range(r):
-            acc = None
-            for k in range(r):
-                term = phi[i][k].mul(phi[k][j])
-                acc = term if acc is None else acc.add(term)
-            if not acc.is_zero():
-                return False
-    return True
 
 
 def quot_tangent_obstruction(E_spec, witness):
@@ -366,38 +345,30 @@ class _ScanPool:
         return got
 
     def first_subfull(self, M_list, k, e_list):
-        """First (M, e, place, direction-or-'all') with dim Osc^k < kr, or None."""
+        """First (M, e, FiberDeficiency) with dim Osc^k < kr somewhere, or None."""
         for e in e_list:
             for M in M_list:
                 ctx = self.ctx(M, e)
-                scans = ctx.scan_level(k)
-                threshold = k * self.E.rank + 1
-                for place in ctx.places:
-                    mode, basis = scans[place].deficient_classification(threshold)
-                    if mode == "none":
-                        continue
-                    if mode == "all":
-                        return {"M": M, "ext_degree": e, "place": place,
-                                "whole_fiber": True}
-                    dirs = projective_points(ctx.curve.field, basis)
-                    if dirs:
-                        return {"M": M, "ext_degree": e, "place": place,
-                                "direction": dirs[0]}
+                rec = next(_classify(ctx, ctx.scan_level(k), k * self.E.rank + 1),
+                           None)
+                if rec is not None:
+                    return M, e, rec
         return None
 
 
-def _witness_json(E_spec, found):
+def _witness_json(curve, found):
+    """A first_subfull result as JSON: the twist class, the extension degree,
+    the point, and its first deficient direction or the whole fibre."""
     if found is None:
         return None
-    base = E_spec.curve
-    big = base.base_change(found["ext_degree"])
-    out = {"M": base.divisor_to_json(found["M"]),
-           "ext_degree": found["ext_degree"],
-           "point": big.place_to_json(found["place"])}
-    if found.get("whole_fiber"):
+    M, e, rec = found
+    big = curve.base_change(e)
+    out = {"M": curve.divisor_to_json(M), "ext_degree": e,
+           "point": big.place_to_json(rec.place)}
+    if rec.mode == "all":
         out["whole_fiber"] = True
     else:
-        out["direction"] = [big.field.elt_to_json(c) for c in found["direction"]]
+        out["direction"] = [big.field.elt_to_json(c) for c in rec.directions[0]]
     return out
 
 
@@ -439,7 +410,7 @@ def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, witness_ext=3,
                                                                ext_degree) + 1))
             ok = found is not None
         clauses.append({"id": f"k={k}", "inequality_holds": ineq,
-                        "pass": ok, "witness": _witness_json(E_spec, found)})
+                        "pass": ok, "witness": _witness_json(curve, found)})
     inputs = _bundle_inputs(E_spec)
     inputs["s1"] = s1
     return TheoremReport("mainA", inputs, clauses, _PROXY_CAVEATS)
@@ -449,6 +420,25 @@ def _formula_sn(E_spec, n):
     """nd - r * (largest degree of a rank-n split subbundle); decomposable only."""
     degs = sorted((f.degree for f in E_spec.factors), reverse=True)
     return n * E_spec.degree - E_spec.rank * sum(degs[:n])
+
+
+def _first_wedge_witness(E_spec, wedges, ext_degree):
+    """The first fibre of a wedge-power scroll with dim Osc^k < kr, as
+    {"wedge": n, "k": k, "witness": ...}, or None.  wedges lists (n, S_n,
+    top_k): S_n is scanned at the orders 0..top_k with k + 1 < p, over every
+    twist class and over F_{q^e} for e <= ext_degree."""
+    curve = E_spec.curve
+    M_list = curve.pic0_representatives()
+    for n, Sn, top_k in wedges:
+        ks = [k for k in range(top_k + 1) if k + 1 < curve.field.char]
+        if not ks:
+            continue
+        pool = _ScanPool(Sn, max(ks))
+        for k in ks:
+            found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
+            if found is not None:
+                return {"wedge": n, "k": k, "witness": _witness_json(curve, found)}
+    return None
 
 
 def verify_semistability(E_spec, ext_degree=1):
@@ -461,37 +451,16 @@ def verify_semistability(E_spec, ext_degree=1):
         raise DomainError("requires slope mu < -1 at genus one")
     semistable = all(_formula_sn(E_spec, n) >= 0 for n in range(1, r))
     mu_dual = Fraction(-d, r)
-    clauses = [{"id": "semistable", "pass": True, "value": semistable}]
-    scan_clean = True
-    first_witness = None
-    for n in range(1, r):
-        Sn = wedge(E_spec, n)
-        top = n * mu_dual - 1          # open range k < n mu(E*) - (2g-1)
-        ks = [k for k in range(ceil(top) + 1) if Fraction(k) < top]
-        if not ks:
-            continue
-        pool = _ScanPool(Sn, max(ks))
-        M_list = E_spec.curve.pic0_representatives()
-        for k in ks:
-            if k + 1 >= E_spec.curve.field.char:
-                continue
-            found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
-            if found is not None:
-                scan_clean = False
-                first_witness = (n, k, found)
-                break
-        if not scan_clean:
-            break
-    agree = semistable == scan_clean
-    witness_json = None
-    if first_witness:
-        n, k, found = first_witness
-        witness_json = {"wedge": n, "k": k,
-                        "witness": _witness_json(wedge(E_spec, n), found)}
-    clauses.append({"id": "full-osculation-range", "pass": True,
-                    "value": scan_clean, "witness": witness_json})
-    clauses.append({"id": "equivalence", "pass": agree,
-                    "semistable": semistable, "scan_clean": scan_clean})
+    # open range k < n mu(E*) - (2g-1)
+    wedges = [(n, wedge(E_spec, n), ceil(n * mu_dual - 1) - 1)
+              for n in range(1, r)]
+    witness = _first_wedge_witness(E_spec, wedges, ext_degree)
+    scan_clean = witness is None
+    clauses = [{"id": "semistable", "pass": True, "value": semistable},
+               {"id": "full-osculation-range", "pass": True,
+                "value": scan_clean, "witness": witness},
+               {"id": "equivalence", "pass": semistable == scan_clean,
+                "semistable": semistable, "scan_clean": scan_clean}]
     return TheoremReport("mainB", _bundle_inputs(E_spec), clauses, _PROXY_CAVEATS)
 
 
@@ -509,35 +478,18 @@ def verify_cohomological_stability(E_spec, ext_degree=1):
         raise Unsupported("wedge powers of modified bundles are out of scope")
     cohstable = all(v > 0 for v in s1_values.values())
     mu_dual = Fraction(-d, r)
-    scan_clean = True
-    first_witness = None
-    M_list = E_spec.curve.pic0_representatives()
-    for n in range(1, r):
-        Sn = E_spec if (n == 1 and not E_spec.is_decomposable) else wedge(E_spec, n)
-        top = n * mu_dual - 1
-        ks = [k for k in range(floor(top) + 1)]
-        ks = [k for k in ks if k + 1 < E_spec.curve.field.char]
-        if not ks:
-            continue
-        pool = _ScanPool(Sn, max(ks))
-        for k in ks:
-            found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
-            if found is not None:
-                scan_clean = False
-                first_witness = {"wedge": n, "k": k,
-                                 "witness": _witness_json(Sn, found)}
-                break
-        if not scan_clean:
-            break
-    agree = cohstable == scan_clean
+    wedges = [(n, E_spec if not E_spec.is_decomposable else wedge(E_spec, n),
+               floor(n * mu_dual - 1)) for n in range(1, r)]
+    witness = _first_wedge_witness(E_spec, wedges, ext_degree)
+    scan_clean = witness is None
     clauses = [
         {"id": "s1-positivity", "pass": True,
          "values": {str(n): v for n, v in s1_values.items()},
          "value": cohstable},
         {"id": "closed-range-scan", "pass": True, "value": scan_clean,
-         "witness": first_witness},
-        {"id": "equivalence", "pass": agree, "cohomologically_stable": cohstable,
-         "scan_clean": scan_clean},
+         "witness": witness},
+        {"id": "equivalence", "pass": cohstable == scan_clean,
+         "cohomologically_stable": cohstable, "scan_clean": scan_clean},
     ]
     return TheoremReport("mainBmod", _bundle_inputs(E_spec), clauses,
                          _PROXY_CAVEATS)
@@ -573,29 +525,21 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     clauses = [{"id": "hypothesis", "pass": True, "end_dim": details["dim"]},
                {"id": "a:dimension", "pass": bool(passing),
                 "fraction": f"{len(passing)}/{len(M_list)}", "n": n}]
-    lower_ok = True
-    low_witness = None
-    for M in passing:
-        pool = _ScanPool(E_spec, max(k_prime - 1, 0))
-        for k in range(k_prime):
-            found = pool.first_subfull([M], k, range(1, ext_degree + 1))
-            if found is not None:
-                lower_ok = False
-                low_witness = _witness_json(E_spec, found)
-                break
-        if not lower_ok:
-            break
-    clauses.append({"id": "b:lower-loci-empty", "pass": lower_ok,
-                    "k_range": list(range(k_prime)), "witness": low_witness})
     expected_top = (k_prime + 1) * r - n - 1
+    low_witness = None
     top_ok = True
     counts = {}
     d_top_ok = True
     for M in passing:
+        pool = _ScanPool(E_spec, k_prime)     # shared by clauses b and c
+        for k in range(k_prime):
+            if low_witness is not None:
+                break
+            low_witness = _witness_json(
+                curve, pool.first_subfull([M], k, range(1, ext_degree + 1)))
         per_e = []
         for e in (1, min(2, ext_degree)):
-            ctx = ScanContext(E_spec, M, ext_degree=e, k_max=k_prime)
-            rep = scan_report(ctx, k_prime, cross_check=False)
+            rep = scan_report(pool.ctx(M, e), k_prime, cross_check=False)
             per_e.append(rep.deficient_point_count("subfull"))
             if rep.d_k != k_prime * r:
                 d_top_ok = False
@@ -604,6 +548,8 @@ def verify_generic_inflection(E_spec, ext_degree=2):
             q2 = curve.base_change(min(2, ext_degree)).field.order
             if per_e[-1] >= _hasse_curve_floor(q2):
                 top_ok = False
+    clauses.append({"id": "b:lower-loci-empty", "pass": low_witness is None,
+                    "k_range": list(range(k_prime)), "witness": low_witness})
     clauses.append({"id": "c:top-locus", "pass": top_ok and d_top_ok,
                     "expected_dim": expected_top,
                     "d_top_equals_kr": d_top_ok,
@@ -628,32 +574,30 @@ def _deficiency_set(report):
     return out
 
 
-def _center_avoids_osculating_spans(full_ctx, coeff_rows, k_below):
-    """Whether the one-point projection centre misses every osculating span of
-    order < k_below over the scanned points.
+def _lower_osculating_spans(ctx, k_below):
+    """Per scanned place, the row space of every order matrix row of order
+    < k_below: the osculating spans of lower orders are nested, so the
+    largest one holds all of them."""
+    spans = []
+    for place in ctx.places:
+        acc = EchelonAccumulator(ctx.curve.field, ctx.sections.dimension)
+        for mat in ctx.orders_at(place)[:k_below]:
+            for row in mat:
+                acc.insert(row)
+        spans.append(acc)
+    return spans
+
+
+def _center_avoids(spans, coeff_rows):
+    """Whether the one-point projection centre misses every given span.
 
     The centre is the kernel of the coefficient matrix in dual coordinates;
-    each osculating span is the row space of the corresponding jet matrix, so
-    membership is a residue computation against an echelonized row set.
+    it lies on a span when some kernel vector has zero residue against it.
     """
-    from .linalg import EchelonAccumulator as Acc
-
-    K = full_ctx.curve.field
-    m = ExactMatrix.from_rows(K, [list(r) for r in coeff_rows])
-    kernel = mat_rank_kernel(m)[1]
-    centers = kernel
-    for place in full_ctx.places:
-        mats = full_ctx.orders_at(place)
-        for k in range(k_below):
-            # span of all operator rows of order <= k over every fibre direction
-            acc = Acc(K, full_ctx.sections.dimension)
-            for j in range(k + 1):
-                for row in mats[j]:
-                    acc.insert(row)
-            for w in centers:
-                if not any(c != K.zero for c in acc.residue(list(w))):
-                    return False
-    return True
+    K = spans[0].field
+    centers = mat_rank_kernel(ExactMatrix.from_rows(K, coeff_rows))[1]
+    return all(any(c != K.zero for c in acc.residue(w))
+               for acc in spans for w in centers)
 
 
 def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
@@ -666,8 +610,9 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
     expansions.  A draw is accepted as general when its centre avoids the
     scanned osculating spans of all lower orders (the computable part of
     the dense open condition behind the statement): the centre's residues
-    are tested against the full system's order matrices.  The acceptance
-    fraction is reported and must stay above one half.  An accepted draw
+    are tested against the full system's order-(< k_m) row space at each
+    place, echelonized once.  The acceptance fraction is reported and must
+    stay above one half.  An accepted draw
     matches when place_scan ranks of its own order matrices give the full
     system's d_k and deficiency sets at every lower order.
     """
@@ -691,14 +636,14 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
         hyp_ok = d_full[k_m - 1] <= d_full[k_m] - r
     clauses = [{"id": "dimension-hypothesis", "pass": hyp_ok,
                 "d_values": {str(k): v for k, v in d_full.items()}}]
+    lower_spans = _lower_osculating_spans(full_ctx, k_m)
     all_match = True
     mismatch = None
     general_count = 0
     seeds = list(seeds)
     for seed in seeds:
         W = project_system(full_sections, m_plus_1, seed)
-        general = _center_avoids_osculating_spans(full_ctx, W.combo_rows, k_m)
-        if not general:
+        if not _center_avoids(lower_spans, W.combo_rows):
             continue
         general_count += 1
         ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=max(k_m - 1, 0),

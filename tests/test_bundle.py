@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
-from scrollinflect.bundle import (BundleSpec, Modification, bundle_make, chi_h1,
-                                  dual_twist, elementary_transform, h0, wedge)
+from scrollinflect.bundle import (BundleSpec, Modification, chi_h1, dual_twist,
+                                  elementary_transform, h0, wedge)
 from scrollinflect.curve import Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
 
@@ -143,11 +143,3 @@ def test_bundle_json_roundtrip(C7, esharp):
     assert again.factors == esharp.factors
     assert [m.place for m in again.modifications] == \
         [m.place for m in esharp.modifications]
-
-
-def test_bundle_make_dispatch(C7):
-    spec = bundle_make(C7, [single(INFINITY, -3), single(INFINITY, -3)],
-                       derived=("wedge", (2,)))
-    assert spec.rank == 1 and spec.degree == -6
-    with pytest.raises(InputError):
-        bundle_make(C7, [single(INFINITY, -1)], derived=("nope", ()))

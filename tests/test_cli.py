@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import scrollinflect.cli as cli
 import scrollinflect.scroll as scroll
 
@@ -75,6 +77,18 @@ def test_verify_mainA_eflat_witness(capsys):
     assert clause["witness"]["direction"] == ["1", "0"]
 
 
+def test_verify_mainB_skips_orders_at_the_characteristic(tmp_path, capsys):
+    # O(-8 O) + O(-8 O) over F_7: the open range reaches k = 6, where
+    # k + 1 = p; that order is skipped, not used to size the scan contexts
+    doc = json.loads((INSTANCES / "eflat.json").read_text())
+    doc["bundle"]["factors"] = [[{"point": "O", "mult": -8}]] * 2
+    path = tmp_path / "o8o8.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_inproc(["verify", "mainB", "--instance", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_segre_and_nilpotent_commands(capsys):
     code, out = run_inproc(["segre", "--instance",
                             str(INSTANCES / "esharp.json"),
@@ -132,18 +146,21 @@ def test_byte_determinism_across_processes():
     assert c1 == c2 == 0 and o1 == o2
 
 
-def test_injected_oracle_fault_exits_2(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["osc", "scan"])
+def test_injected_oracle_fault_exits_2(command, monkeypatch, capsys):
     real = scroll.osc_dim_oracle
 
     def lying_oracle(E, M, x, k):
         return real(E, M, x, k) + 1
 
     monkeypatch.setattr(scroll, "osc_dim_oracle", lying_oracle)
-    code, out = run_inproc(["osc", "--instance", str(INSTANCES / "estar.json"),
+    code, out = run_inproc([command, "--instance", str(INSTANCES / "estar.json"),
                             "--k", "0", "--M", "[]"], capsys)
     doc = json.loads(out)
     assert code == 2
     assert doc["kind"] == "invariant-violation"
+    assert doc["error"].startswith("jet-rank and pole-counting osculating "
+                                   "dimensions disagree")
 
 
 def test_reports_reparse_under_schema(capsys):

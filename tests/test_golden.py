@@ -5,6 +5,9 @@ log/Zech-log arithmetic, the memoised base change and the slack-free
 expansion went in.  PROJECTION pins `verify appendixA` and `project`; their
 hashes were recorded before sections became coefficient rows over an
 ambient Riemann-Roch basis, which random and adversarial subsystems share.
+VERIFIERS pins a wedge witness of `verify mainB`, `mainBmod`, `mainC` over
+F_49 and the exact path of `hypothesis-nilpotent`; their hashes were recorded
+before the verifiers became loops over one fibre classification.
 """
 
 import hashlib
@@ -39,6 +42,17 @@ PROJECTION = [
      "2f8ab5a587f6984c8bf9613d2905be73bac4231d7f1def4746789b69510ac451"),
 ]
 
+VERIFIERS = [
+    (["verify", "mainB", "--instance", "eflat.json"],
+     "734ca665187dd0c61f6120d82079c07a32096b8fb103f131d6dace9586cb10b1"),
+    (["verify", "mainBmod", "--instance", "esharp.json"],
+     "e091ddb2d27c04c11249afa5bc25e6cddbf416cdd1fb14e02ae17a4c796f9bab"),
+    (["verify", "mainC", "--instance", "estar.json", "--ext", "2"],
+     "1461fbcf4364500d752492b5cddf9f9e76c8ac211df2943a90c01c613ce165e9"),
+    (["hypothesis-nilpotent", "--instance", "eflat.json"],
+     "bc56fda51b1efb0a17ad9538f64afcced2386dafefe24ffa3f71cf30f6f3469d"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -57,4 +71,11 @@ def test_extension_field_output_is_pinned(argv, digest, capsys):
                          ids=["appendixA-estar", "appendixA-esharp",
                               "appendixA-eflat", "project-estar"])
 def test_projection_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", VERIFIERS,
+                         ids=["mainB-eflat", "mainBmod-esharp", "mainC-estar",
+                              "nilpotent-eflat"])
+def test_verifier_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest

@@ -4,7 +4,7 @@ import pytest
 
 from scrollinflect.errors import PrecisionError
 from scrollinflect.fields import PrimeField, RationalField
-from scrollinflect.series import LaurentSeries, laurent_arith
+from scrollinflect.series import LaurentSeries
 
 
 def test_geometric_series_inverse():
@@ -79,11 +79,3 @@ def test_invert_mul_roundtrip_200_random():
         assert prod.agrees_with(one)
 
 
-def test_dispatcher_matches_methods():
-    F = PrimeField(7)
-    a = LaurentSeries(F, 0, [1, 1], 4)
-    b = LaurentSeries(F, 0, [2], 4)
-    assert laurent_arith(a, b, "mul").coeffs == a.mul(b).coeffs
-    assert laurent_arith(a, b, "add").coeffs == a.add(b).coeffs
-    assert laurent_arith(a, op="invert").coeffs == a.invert().coeffs
-    assert laurent_arith(a, op="truncate", truncate_at=2).prec == 2
