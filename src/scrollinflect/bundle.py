@@ -15,11 +15,13 @@ contributes one linear row.
 
 A SectionBasis is a coefficient matrix over that ambient basis, never a
 list of summed functions.  The ambient functions are expanded once per
-place, at the largest precision asked for, and every section's component
-series is an exact linear combination of those expansions; subsystems
-(random or adversarial projections) and bases embedded over the same curve
-share the ambient basis and its expansions.  Expansion is linear modulo
-t^prec, so every coefficient read is the one the summed function gives.
+place, at the largest precision asked for, and kept as plain lists of
+field elements; every section's components are exact linear combinations
+of those lists (`section_coeffs`), and the fibre scans read them in that
+form, with no series object built; subsystems (random or adversarial
+projections) and bases embedded over the same curve share the ambient
+basis and its expansions.  Expansion is linear modulo t^prec, so every
+coefficient read is the one the summed function gives.
 """
 
 from __future__ import annotations
@@ -358,8 +360,9 @@ class SectionBasis:
     def component_shift(self, i, place):
         return self.ambient.shift(i, place)
 
-    def section_series(self, place, prec):
-        """Per section, the r normalized component series mod t^prec."""
+    def section_coeffs(self, place, prec):
+        """Per section, the r normalized components as lists of their
+        coefficients of t^0 .. t^(prec-1)."""
         K = self.spec.curve.field
         zero = K.zero
         table = self.ambient.table(place, prec)
@@ -373,19 +376,12 @@ class SectionBasis:
                 for j in range(prec):
                     if coeffs[j] != zero:
                         acc[j] = K.add(acc[j], K.mul(c, coeffs[j]))
-            out.append([LaurentSeries(K, 0, comp, prec) for comp in comps])
+            out.append(comps)
         return out
 
-    def normalized_value_matrix(self, place, orders=1):
-        """Rows of normalized coefficient data at a place: for each section the
-        concatenated coefficients of orders 0..orders-1 of each component."""
-        K = self.spec.curve.field
-        rows = [[s.coeff(j) for s in comps for j in range(orders)]
-                for comps in self.section_series(place, orders)]
-        return ExactMatrix.from_rows(K, rows) if rows else ExactMatrix(K, 0, 0)
-
     def check_independence(self):
-        """Certify linear independence by evaluation at finitely many places."""
+        """Certify linear independence by the order-0 and order-1 coefficients
+        at finitely many places."""
         if not self.coeffs:
             return True
         curve = self.spec.curve
@@ -393,9 +389,9 @@ class SectionBasis:
         K = curve.field
         rows = [[] for _ in self.coeffs]
         for place in places:
-            m = self.normalized_value_matrix(place, orders=2)
-            for i in range(len(self.coeffs)):
-                rows[i].extend(m.data[i])
+            for row, comps in zip(rows, self.section_coeffs(place, 2)):
+                for comp in comps:
+                    row.extend(comp)
             mat = ExactMatrix.from_rows(K, rows)
             if mat_rank_kernel(mat)[0] == len(self.coeffs):
                 return True

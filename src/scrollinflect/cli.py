@@ -37,10 +37,24 @@ class Instance:
         self.bundle = BundleSpec.from_json(self.curve, obj["bundle"])
         self.M_selector = obj.get("M", [])
         params = obj.get("parameters") or {}
+        if not isinstance(params, dict):
+            raise InputError("parameters must be an object")
         self.k = params.get("k", 0)
         self.ext_degree = params.get("ext_degree", 1)
         self.seed = params.get("seed", 0)
         self.m = params.get("m")
+
+    def check_parameters(self):
+        """k, ext_degree, seed and m (or null) must be ints, not bools, with
+        k >= 0 and 1 <= ext_degree <= 3."""
+        for name in ("k", "ext_degree", "seed", "m"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "m" and value is None):
+                raise InputError(f"parameter {name} is not an integer: {value!r}")
+        if self.k < 0:
+            raise InputError("parameter k must be nonnegative")
+        if not 1 <= self.ext_degree <= 3:
+            raise InputError("parameter ext_degree must be 1, 2 or 3")
 
     def twists(self):
         """The selected degree-0 classes: one divisor, or all of Pic^0."""
@@ -71,6 +85,7 @@ def load_instance(path, overrides):
         inst.m = overrides.m
     if overrides.M is not None:
         inst.M_selector = "all" if overrides.M == "all" else json.loads(overrides.M)
+    inst.check_parameters()
     return inst
 
 

@@ -30,13 +30,6 @@ class ExactMatrix:
                 self.data = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
 
     @classmethod
-    def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
-    @classmethod
     def from_rows(cls, field, rows):
         rows = [list(r) for r in rows]
         cols = len(rows[0]) if rows else 0
@@ -124,10 +117,13 @@ class EchelonAccumulator:
     def rank(self):
         return len(self.rows)
 
-    def residue(self, row):
+    def residue(self, row, rank=None):
+        """The row reduced against the first `rank` echelon rows (all by
+        default); each row is zero at the pivots of the rows before it, so
+        every prefix is itself an echelon basis."""
         K = self.field
         row = list(row)
-        for erow, pc in zip(self.rows, self.pivot_cols):
+        for erow, pc in zip(self.rows[:rank], self.pivot_cols[:rank]):
             f = row[pc]
             if f != K.zero:
                 row = [K.sub(a, K.mul(f, b)) for a, b in zip(row, erow)]
@@ -145,8 +141,3 @@ class EchelonAccumulator:
                 self.pivot_cols.append(c)
                 return True
         return False
-
-    def kernel(self):
-        m = ExactMatrix.from_rows(self.field, self.rows) if self.rows else \
-            ExactMatrix(self.field, 0, self.ncols)
-        return mat_rank_kernel(m)[1]

@@ -12,7 +12,13 @@ Two independent routes are provided:
 
 Exhaustive fibre scans over F_{q^e} classify each fibre's deficient
 directions as a projective-linear condition, so no per-direction rank
-computation is needed.
+computation is needed.  Taylor data stays in one form from the ambient
+expansion table to the classification: plain lists of field elements, put
+in the fibre frame by one helper (`_frame_coords`).  The osculating spans
+Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a ScanContext keeps one
+echelon accumulator per place, grown order by order (`flag`); every jet
+order, the centre-avoidance test of projections and the global generation
+check read prefixes of it.
 """
 
 from __future__ import annotations
@@ -25,9 +31,8 @@ from .bundle import (SectionBasis, dual_twist, elementary_transform,
 from .curve import single
 from .errors import InputError, InvariantViolation, Unsupported
 from .linalg import EchelonAccumulator, ExactMatrix, mat_rank_kernel
-from .series import LaurentSeries
 
-_GUARD_TERMS = 4
+_ORACLE_SAMPLES = 2         # fibres on which scan_report runs the pole-counting route
 
 
 def check_jet_order(field, k):
@@ -101,60 +106,63 @@ def standard_basis(field, r):
 # frame coordinates of dual sections at a place
 
 
-def alpha_series(E_spec, sections, place, k_max):
-    """Per section, the r coordinate series in the trivializing frame of the
-    fibre at the place, with at least k_max + 1 correct coefficients."""
-    K = E_spec.curve.field
-    frame = fiber_frame(E_spec, place)
-    fhats = sections.section_series(place, k_max + 2 + _GUARD_TERMS)
-    if frame is None:
-        return fhats
-    B, _ = frame
-    columns = B.transpose().data
+def _frame_coords(K, rows, comps, raised, violation):
+    """The coordinates row . comps, one per row, of a fibre vector whose
+    components are given as coefficient lists.  A coordinate whose index is
+    in `raised` must vanish at t^0 (else InvariantViolation(violation)) and
+    is read one order up."""
+    n = min(len(comp) for comp in comps)
     out = []
-    for fhat in fhats:
-        alpha = [_combo_series(K, columns[0], fhat)]
-        for col in columns[1:]:
-            s = _combo_series(K, col, fhat)
-            if s.coeff(0) != K.zero:
-                raise InvariantViolation(
-                    "dual section has an illegal polar part at a modified place")
-            alpha.append(s.shift(-1))
-        out.append(alpha)
+    for i, row in enumerate(rows):
+        acc = [K.zero] * n
+        for a, comp in zip(row, comps):
+            if a == K.zero:
+                continue
+            for j in range(n):
+                if comp[j] != K.zero:
+                    acc[j] = K.add(acc[j], K.mul(a, comp[j]))
+        if i in raised:
+            if acc[0] != K.zero:
+                raise InvariantViolation(violation)
+            acc = acc[1:]
+        out.append(acc)
     return out
 
 
-def lead_vectors(E_spec, place, series):
+def alpha_series(E_spec, sections, place, k_max):
+    """Per section, the r coordinate coefficient lists in the trivializing
+    frame of the fibre at the place, each at least k_max + 1 long."""
+    frame = fiber_frame(E_spec, place)
+    if frame is None:
+        return sections.section_coeffs(place, k_max + 1)
+    columns = frame[0].transpose().data
+    raised = range(1, E_spec.rank)
+    return [_frame_coords(E_spec.curve.field, columns, comps, raised,
+                          "dual section has an illegal polar part at a modified place")
+            for comps in sections.section_coeffs(place, k_max + 2)]
+
+
+def lead_vectors(E_spec, place, coeffs):
     """Fibre value at the place of each section given by its normalized
-    component series (at least two coefficients), in the frame of
+    component coefficient lists (at least two coefficients), in the frame of
     bundle.fiber_frame: at a conditioned place the first coordinate is read
     one order up, where the carried condition leaves it."""
-    K = E_spec.curve.field
     frame = fiber_frame(E_spec, place)
     if frame is None:
-        return [tuple(s.coeff(0) for s in fhat) for fhat in series]
-    _, Binv = frame
-    out = []
-    for fhat in series:
-        zeta = [_combo_series(K, row, fhat) for row in Binv.data]
-        if zeta[0].coeff(0) != K.zero:
-            raise InvariantViolation(
-                "section violates the carried condition at a modified place")
-        out.append(tuple([zeta[0].coeff(1)] + [z.coeff(0) for z in zeta[1:]]))
-    return out
+        return [tuple(comp[0] for comp in comps) for comps in coeffs]
+    rows = frame[1].data
+    return [tuple(z[0] for z in _frame_coords(
+                E_spec.curve.field, rows, comps, (0,),
+                "section violates the carried condition at a modified place"))
+            for comps in coeffs]
 
 
 def order_matrices(E_spec, sections, place, k_max):
     """B_j (r x dim V) for j = 0..k_max: B_j[i][c] = t^j-coefficient of the
     i-th frame coordinate of section c."""
-    K = E_spec.curve.field
     alphas = alpha_series(E_spec, sections, place, k_max)
-    mats = []
-    for j in range(k_max + 1):
-        rows = [[alphas[c][i].coeff(j) for c in range(len(alphas))]
-                for i in range(E_spec.rank)]
-        mats.append(rows)
-    return mats
+    return [[[alpha[i][j] for alpha in alphas] for i in range(E_spec.rank)]
+            for j in range(k_max + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -204,32 +212,21 @@ def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
     ncols = len(alphas)
     scale = uniformiser_scale
 
-    def coeff(series, j):
-        c = series.coeff(j)
+    def coeff(coords, j):
+        c = coords[j]
         if scale is not None and c != K.zero:
             c = K.mul(c, K.pow(scale, j))
         return c
 
-    combos = []
-    for w in frame_rows:
-        combos.append([
-            _combo_series(K, w, alphas[c]) for c in range(ncols)])
+    combos = [_frame_coords(K, frame_rows, alpha, (), None) for alpha in alphas]
     rows = []
     for j in range(k + 1):
-        rows.append([coeff(combos[0][c], j) for c in range(ncols)])
+        rows.append([coeff(combos[c][0], j) for c in range(ncols)])
     for ell in range(k):
         for widx in range(1, r):
-            rows.append([coeff(combos[widx][c], ell) for c in range(ncols)])
+            rows.append([coeff(combos[c][widx], ell) for c in range(ncols)])
     mat = ExactMatrix.from_rows(K, rows) if rows else ExactMatrix(K, 0, ncols)
     return JetMatrix(k, mat, x)
-
-
-def _combo_series(K, w, alpha):
-    s = LaurentSeries.zero(K, alpha[0].prec if alpha else 0)
-    for c, a in zip(w, alpha):
-        if c != K.zero:
-            s = s.add(a.scalar_mul(c))
-    return s
 
 
 def osc_dim(E_spec, M, x, k, sections=None):
@@ -286,7 +283,7 @@ def subsheaf_witnesses(E_spec, M, place, k):
         raise InputError("the twist class must have degree zero")
     V = h0(E_spec, M.neg().add(single(place, k + 1)))
     acc = EchelonAccumulator(K, E_spec.rank)
-    for lead in lead_vectors(E_spec, place, V.section_series(place, 3)):
+    for lead in lead_vectors(E_spec, place, V.section_coeffs(place, 2)):
         acc.insert(lead)
     directions = projective_points(K, acc.rows) if K.is_finite else []
     return WitnessSet(place, k, acc, directions)
@@ -298,55 +295,40 @@ def subsheaf_witnesses(E_spec, M, place, k):
 
 class PlaceScan:
     """Rank data of one fibre: base rank of all rows below order k, and the
-    top-order matrix C whose left kernel is the deficient direction set."""
+    residues T of the order-k rows against their span; the deficient
+    directions are the left kernel of T."""
 
-    def __init__(self, field, place, base_rank, C_rows):
+    def __init__(self, field, place, base_rank, T_rows):
         self.field = field
         self.place = place
         self.base_rank = base_rank
-        self.C = C_rows                       # r x nu, nu = corank of lower orders
-        self.has_top = any(c != field.zero for row in C_rows for c in row)
+        self.T = T_rows                       # r x dim V
+        self.has_top = any(c != field.zero for row in T_rows for c in row)
 
     def rank_of(self, direction):
         K = self.field
-        if not self.C or not self.C[0]:
-            return self.base_rank
-        for j in range(len(self.C[0])):
-            acc = K.zero
-            for i, v in enumerate(direction):
-                if v != K.zero:
-                    acc = K.add(acc, K.mul(v, self.C[i][j]))
-            if acc != K.zero:
-                return self.base_rank + 1
-        return self.base_rank
+        top = any(K.dot(direction, col) != K.zero for col in zip(*self.T))
+        return self.base_rank + (1 if top else 0)
 
     def max_rank(self):
         return self.base_rank + (1 if self.has_top else 0)
 
-    def top_kernel_basis(self):
-        """Directions v with v^T C = 0 (all of K^r when C = 0)."""
-        K = self.field
-        r = len(self.C)
-        if not self.has_top:
-            return [tuple(row) for row in ExactMatrix.identity(K, r).data]
-        Ct = ExactMatrix.from_rows(K, [[self.C[i][j] for i in range(r)]
-                                       for j in range(len(self.C[0]))])
-        return [tuple(v) for v in mat_rank_kernel(Ct)[1]]
-
     def deficient_classification(self, threshold):
-        """('none' | 'subspace' | 'all', basis) for rank(p, v) < threshold."""
+        """('none' | 'subspace' | 'all', basis) for rank(p, v) < threshold;
+        a subspace is the left kernel of T."""
         if self.base_rank >= threshold:
             return "none", []
         if self.base_rank + 1 < threshold or not self.has_top:
             return "all", []
-        basis = self.top_kernel_basis()
+        basis = mat_rank_kernel(ExactMatrix.from_rows(self.field, zip(*self.T)))[1]
         if not basis:
             return "none", []
-        return "subspace", basis
+        return "subspace", [tuple(v) for v in basis]
 
 
 class ScanContext:
-    """Shared per-(E, M, extension) scan data: sections and order matrices."""
+    """Shared per-(E, M, extension) scan data: sections, order matrices and
+    one nested osculating flag per place."""
 
     def __init__(self, E_spec, M, ext_degree=1, k_max=0, sections=None):
         base_curve = E_spec.curve
@@ -372,6 +354,7 @@ class ScanContext:
         self.n = self.sections.dimension - 1
         self.places = big.points()
         self._orders = {}
+        self._flags = {}           # place -> (EchelonAccumulator, ranks by order)
 
     def orders_at(self, place):
         got = self._orders.get(place)
@@ -380,18 +363,25 @@ class ScanContext:
             self._orders[place] = got
         return got
 
-    def place_scan(self, place, k):
-        K = self.curve.field
-        mats = self.orders_at(place)
-        ncols = self.sections.dimension
-        acc = EchelonAccumulator(K, ncols)
-        for j in range(k):
-            for row in mats[j]:
+    def flag(self, place, k):
+        """(acc, rank): the first `rank` echelon rows of acc span the rows of
+        every order < k at the place.  The accumulator is grown order by
+        order and shared by every k."""
+        got = self._flags.get(place)
+        if got is None:
+            got = (EchelonAccumulator(self.curve.field, self.sections.dimension), [0])
+            self._flags[place] = got
+        acc, ranks = got
+        while len(ranks) <= k:
+            for row in self.orders_at(place)[len(ranks) - 1]:
                 acc.insert(row)
-        base_rank = acc.rank
-        kernel = acc.kernel()
-        C = [[K.dot(mats[k][i], kv) for kv in kernel] for i in range(self.E.rank)]
-        return PlaceScan(K, place, base_rank, C)
+            ranks.append(acc.rank)
+        return acc, ranks[k]
+
+    def place_scan(self, place, k):
+        acc, rank = self.flag(place, k)
+        T = [acc.residue(row, rank) for row in self.orders_at(place)[k]]
+        return PlaceScan(self.curve.field, place, rank, T)
 
     def scan_level(self, k):
         if k > self.k_max:
@@ -449,16 +439,10 @@ class OscReport:
             return (self.k + 1) * r - self.n - 1
         return None
 
-    def deficient_point_count(self, which="relative"):
-        recs = self.relative if which == "relative" else self.subfull
-        total = 0
-        for rec in recs:
-            total += rec.fiber_size if rec.mode == "all" else len(rec.directions)
-        return total
-
-    def is_empty(self, which="relative"):
-        recs = self.relative if which == "relative" else self.subfull
-        return not recs
+    def deficient_point_count(self):
+        """Number of subfull points (dim Osc^k < kr)."""
+        return sum(rec.fiber_size if rec.mode == "all" else len(rec.directions)
+                   for rec in self.subfull)
 
     def to_json(self):
         big = self.ctx.curve
@@ -511,7 +495,7 @@ def _classify(ctx, scans, threshold):
             yield FiberDeficiency(place, "subspace", projective_points(K, basis), size)
 
 
-def scan_report(ctx, k, cross_check=True, oracle_samples=2):
+def scan_report(ctx, k, cross_check=True):
     """Full fibre classification at one jet order, with optional cross-checks."""
     scans = ctx.scan_level(k)
     d_k_plus_1 = max((scans[p].max_rank() for p in ctx.places), default=0)
@@ -521,18 +505,18 @@ def scan_report(ctx, k, cross_check=True, oracle_samples=2):
     oracle_ok = None
     witness_ok = None
     if cross_check:
-        oracle_ok = _oracle_cross_check(ctx, k, scans, oracle_samples)
+        oracle_ok = _oracle_cross_check(ctx, k, scans)
         witness_ok = _witness_cross_check(ctx, k, scans, subfull)
     return OscReport(ctx, k, relative, subfull, d_k,
                      oracle_agreement=oracle_ok, witness_match=witness_ok)
 
 
-def _oracle_cross_check(ctx, k, scans, samples):
-    """Jet rank against the pole-counting route on a few fibres."""
+def _oracle_cross_check(ctx, k, scans):
+    """Jet rank against the pole-counting route on the first fibres."""
     K = ctx.curve.field
     count = 0
     for place in ctx.places:
-        if count >= samples:
+        if count >= _ORACLE_SAMPLES:
             break
         ps = scans[place]
         basis = standard_basis(K, ctx.E.rank)
@@ -608,12 +592,7 @@ def global_generation_check(E_spec, M):
     """True iff the twisted dual is globally generated over the rational points;
     equivalently the k = 0 scan finds no base point."""
     ctx = ScanContext(E_spec, M, ext_degree=1, k_max=0)
-    r = E_spec.rank
-    for place in ctx.places:
-        values = ExactMatrix.from_rows(ctx.curve.field, ctx.orders_at(place)[0])
-        if mat_rank_kernel(values)[0] < r:
-            return False
-    return True
+    return all(ctx.flag(place, 1)[1] == E_spec.rank for place in ctx.places)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,17 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from scrollinflect.bundle import BundleSpec, Modification
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.fields import PrimeField, RationalField
+
+# CLI runs in a subprocess import the package from this checkout too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

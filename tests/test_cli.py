@@ -89,6 +89,19 @@ def test_verify_mainB_skips_orders_at_the_characteristic(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_mainC_counts_each_scanned_degree_once(capsys):
+    # at --ext 1 only F_7 is scanned: one count per twist class, and no
+    # comparison of an F_7 count with the Hasse floor of F_49
+    code, out = run_inproc(["verify", "mainC", "--instance",
+                            str(INSTANCES / "estar.json"), "--ext", "1"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    top = next(c for c in doc["clauses"] if c["id"] == "c:top-locus")
+    assert top["asserted"] is False
+    assert len(top["counts_by_M"]) == 9
+    assert all(len(counts) == 1 for counts in top["counts_by_M"].values())
+
+
 def test_segre_and_nilpotent_commands(capsys):
     code, out = run_inproc(["segre", "--instance",
                             str(INSTANCES / "esharp.json"),
@@ -130,6 +143,19 @@ def test_input_errors_exit_1(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         code, out = run_inproc(["segre", "--instance", str(bad)], capsys)
         assert code == 1 and "not an integer" in json.loads(out)["error"]
+    # instance parameters, from the file and from the command line
+    doc = json.loads((INSTANCES / "estar.json").read_text())
+    for key, value in [("k", "a"), ("k", True), ("k", -1), ("m", 2.5),
+                       ("m", False), ("seed", "x"), ("ext_degree", 0),
+                       ("ext_degree", 4), ("ext_degree", 2.0)]:
+        params = dict(doc["parameters"], **{key: value})
+        bad.write_text(json.dumps(dict(doc, parameters=params)))
+        code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
+        assert code == 1 and "parameter " + key in json.loads(out)["error"], key
+    for flags in (["--ext", "4"], ["--ext", "0"], ["--k", "-1"]):
+        code, out = run_inproc(["segre", "--instance", str(INSTANCES / "estar.json")]
+                               + flags, capsys)
+        assert code == 1 and "parameter" in json.loads(out)["error"], flags
 
 
 def test_byte_determinism_across_processes():

@@ -8,6 +8,10 @@ ambient Riemann-Roch basis, which random and adversarial subsystems share.
 VERIFIERS pins a wedge witness of `verify mainB`, `mainBmod`, `mainC` over
 F_49 and the exact path of `hypothesis-nilpotent`; their hashes were recorded
 before the verifiers became loops over one fibre classification.
+FLAG pins a scan through the frame change at a modified place over F_49 and
+`verify appendixA` over F_49; their hashes were recorded before fibre
+Taylor data became plain coefficient lists read through one nested
+echelon flag per place.
 """
 
 import hashlib
@@ -53,6 +57,13 @@ VERIFIERS = [
      "bc56fda51b1efb0a17ad9538f64afcced2386dafefe24ffa3f71cf30f6f3469d"),
 ]
 
+FLAG = [
+    (["scan", "--instance", "esharp.json", "--k", "2", "--M", "all", "--ext", "2"],
+     "dfb4243a626eb2770284f5376147beaffc63640b807053164a96a2ffe8f6b58d"),
+    (["verify", "appendixA", "--instance", "estar.json", "--m", "5", "--ext", "2"],
+     "a380724d2b18492851a7c42473e19067e6ce735845bfb1474a34df63252ec35a"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -78,4 +89,10 @@ def test_projection_output_is_pinned(argv, digest, capsys):
                          ids=["mainB-eflat", "mainBmod-esharp", "mainC-estar",
                               "nilpotent-eflat"])
 def test_verifier_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", FLAG,
+                         ids=["scan-esharp-ext2", "appendixA-estar-ext2"])
+def test_flag_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest

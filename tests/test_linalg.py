@@ -6,7 +6,7 @@ from scrollinflect.linalg import EchelonAccumulator, ExactMatrix, mat_rank_kerne
 
 def test_identity_has_trivial_kernel():
     F = PrimeField(7)
-    rank, kernel = mat_rank_kernel(ExactMatrix.identity(F, 2))
+    rank, kernel = mat_rank_kernel(ExactMatrix(F, 2, 2, [1, 0, 0, 1]))
     assert rank == 2 and kernel == []
 
 
@@ -69,4 +69,24 @@ def test_echelon_accumulator_matches_batch():
             acc.insert(row)
         batch_rank, batch_kernel = mat_rank_kernel(ExactMatrix.from_rows(F, rows))
         assert acc.rank == batch_rank
-        assert sorted(acc.kernel()) == sorted(batch_kernel)
+        acc_kernel = mat_rank_kernel(ExactMatrix.from_rows(F, acc.rows))[1]
+        assert sorted(acc_kernel) == sorted(batch_kernel)
+
+
+def test_residue_against_a_prefix_equals_a_fresh_accumulator():
+    # the first `rank` echelon rows are an echelon basis on their own
+    F = PrimeField(7)
+    rng = random.Random(5)
+    for _ in range(20):
+        acc = EchelonAccumulator(F, 5)
+        for _ in range(4):
+            acc.insert([rng.randrange(7) for _ in range(5)])
+        for rank in range(acc.rank + 1):
+            fresh = EchelonAccumulator(F, 5)
+            for row in acc.rows[:rank]:
+                fresh.insert(row)
+            assert fresh.rank == rank
+            for _ in range(5):
+                row = [rng.randrange(7) for _ in range(5)]
+                assert acc.residue(row, rank) == fresh.residue(row)
+        assert acc.residue(row, None) == acc.residue(row, acc.rank)
