@@ -19,9 +19,16 @@ place, at the largest precision asked for, and kept as plain lists of
 field elements; every section's components are exact linear combinations
 of those lists (`section_coeffs`), and the fibre scans read them in that
 form, with no series object built; subsystems (random or adversarial
-projections) and bases embedded over the same curve share the ambient
-basis and its expansions.  Expansion is linear modulo t^prec, so every
-coefficient read is the one the summed function gives.
+projections) share the ambient basis and its expansions.  Expansion is
+linear modulo t^prec, so every coefficient read is the one the summed
+function gives.
+
+Base change to F_{q^e} converts no values (fields.py): by flat base change
+H^0 over F_{q^e} is the lift of H^0 over F_q, so an extension scan
+computes the sections over the base curve and lifts them through one
+`base_change(e)`, which BundleSpec, FunctionRep, AmbientBasis and
+SectionBasis each provide: it keeps every factor, condition, polynomial
+and coefficient row and only swaps in `curve.base_change(e)`.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .curve import Divisor
 from .errors import InputError, PrecisionError, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import ExactMatrix, mat_rank_kernel, rref
-from .series import LaurentSeries
 
 
 class Modification:
@@ -113,14 +119,11 @@ class BundleSpec:
     def mods_at(self, place):
         return [m for m in self.modifications if m.place == place]
 
-    def base_change(self, big_curve):
-        small = self.curve
-        factors = [small.embed_divisor(f, big_curve) for f in self.factors]
-        K = big_curve.field
-        mods = [Modification(small.embed_place(m.place, big_curve),
-                             [(o, tuple(K.embed(c) for c in cov)) for o, cov in m.terms])
-                for m in self.modifications]
-        return BundleSpec(big_curve, factors, mods)
+    def base_change(self, e):
+        """The same factors and conditions over F_{q^e}."""
+        if e == 1:
+            return self
+        return BundleSpec(self.curve.base_change(e), self.factors, self.modifications)
 
     # -- serialization ------------------------------------------------------
     def to_json(self):
@@ -267,14 +270,19 @@ def elementary_transform(spec, place, direction):
 
 
 def normalized_series(f, place, shift, prec):
-    """t^shift * f as a series mod t^prec; the zero function gives the zero series."""
+    """The coefficients of t^0 .. t^(prec-1) of t^shift * f; all zero for the
+    zero function or when f vanishes to order >= prec - shift at the place."""
+    out = [f.curve.field.zero] * prec
     if f.is_zero():
-        return LaurentSeries.zero(f.curve.field, prec)
+        return out
     try:
         exp = f.local_expansion(place, prec - shift)
     except PrecisionError:
-        return LaurentSeries.zero(f.curve.field, prec)
-    return exp.shift(shift)
+        return out
+    for j, c in enumerate(exp.coeffs, exp.val + shift):
+        if 0 <= j < prec:
+            out[j] = c
+    return out
 
 
 class AmbientBasis:
@@ -293,7 +301,7 @@ class AmbientBasis:
         self.twist = twist
         self.pairs = pairs
         self._tables = {}          # place -> (prec, one coefficient list per pair)
-        self._lifts = []           # (extension curve, AmbientBasis over it)
+        self._base_changes = {}    # e -> the same pairs over F_{q^e}
 
     def shift(self, slot, place):
         return self.twist.mult(place) + self.factors[slot].mult(place)
@@ -302,25 +310,21 @@ class AmbientBasis:
         got = self._tables.get(place)
         if got is None or got[0] < prec:
             shifts = [self.shift(i, place) for i in range(len(self.factors))]
-            rows = []
-            for slot, f in self.pairs:
-                ser = normalized_series(f, place, shifts[slot], prec)
-                rows.append([ser.coeff(j) for j in range(prec)])
+            rows = [normalized_series(f, place, shifts[slot], prec)
+                    for slot, f in self.pairs]
             got = (prec, rows)
             self._tables[place] = got
         return got[1]
 
-    def lift(self, big_curve):
-        """The same pairs over an extension curve, built once per curve."""
-        for big, lifted in self._lifts:
-            if big is big_curve:
-                return lifted
-        small = self.curve
-        lifted = AmbientBasis(
-            big_curve, [small.embed_divisor(f, big_curve) for f in self.factors],
-            small.embed_divisor(self.twist, big_curve),
-            [(slot, f.base_change(big_curve)) for slot, f in self.pairs])
-        self._lifts.append((big_curve, lifted))
+    def base_change(self, e):
+        """The same pairs over F_{q^e}, built once per degree."""
+        if e == 1:
+            return self
+        lifted = self._base_changes.get(e)
+        if lifted is None:
+            lifted = AmbientBasis(self.curve.base_change(e), self.factors, self.twist,
+                                  [(slot, f.base_change(e)) for slot, f in self.pairs])
+            self._base_changes[e] = lifted
         return lifted
 
 
@@ -359,6 +363,13 @@ class SectionBasis:
 
     def component_shift(self, i, place):
         return self.ambient.shift(i, place)
+
+    def base_change(self, e):
+        """The same coefficient rows over the ambient basis lifted to F_{q^e}."""
+        if e == 1:
+            return self
+        return SectionBasis(self.spec.base_change(e), self.ambient.base_change(e),
+                            self.coeffs)
 
     def section_coeffs(self, place, prec):
         """Per section, the r normalized components as lists of their

@@ -149,14 +149,13 @@ def cmd_scan(inst, args):
 
 
 def cmd_witnesses(inst, args):
-    big = inst.curve.base_change(inst.ext_degree)
-    E = inst.bundle if inst.ext_degree == 1 else inst.bundle.base_change(big)
+    E = inst.bundle.base_change(inst.ext_degree)
+    big = E.curve
     out = []
     for M in inst.twists():
-        Mb = M if inst.ext_degree == 1 else inst.curve.embed_divisor(M, big)
         recs = []
         for place in big.points():
-            ws = subsheaf_witnesses(E, Mb, place, inst.k)
+            ws = subsheaf_witnesses(E, M, place, inst.k)
             if ws.is_empty:
                 continue
             recs.append({"point": big.place_to_json(place),

@@ -234,7 +234,8 @@ class Curve:
 
     # -- base change -----------------------------------------------------------
     def base_change(self, e):
-        """The same curve over F_{q^e}; places embed with identical coordinates.
+        """The same curve over F_{q^e}: coefficients, places and divisors
+        over this curve are valid over it unchanged.
 
         Built once per degree and kept on this curve, so every scan over
         F_{q^e} shares one field's tables and one param_series cache.
@@ -243,8 +244,7 @@ class Curve:
             return self
         big = self._base_changes.get(e)
         if big is None:
-            K = extension_of(self.field, e)
-            big = Curve(K, K.embed(self.a4), K.embed(self.a6))
+            big = Curve(extension_of(self.field, e), self.a4, self.a6)
             self._base_changes[e] = big
         return big
 
@@ -343,15 +343,6 @@ class Curve:
                 raise InputError(f"divisor multiplicity {mult!r} is not an integer")
             D.add_place(self.place_from_json(rec["point"]), mult)
         return D
-
-    def embed_place(self, place, big_curve):
-        if place.is_infinity:
-            return INFINITY
-        K = big_curve.field
-        return Place(K.embed(place.x), K.embed(place.y))
-
-    def embed_divisor(self, D, big_curve):
-        return Divisor({self.embed_place(p, big_curve): m for p, m in D.support.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Curve) and other.field == self.field

@@ -11,6 +11,11 @@ exhaustively.  Elements are packed as integers in base p (little-endian
 coefficients); arithmetic goes through log/Zech-log tables, one extension
 curve per base curve (Curve.base_change keeps it), so the tables are built
 once per base curve and degree.
+
+An element c of F_p packs to the int c in every F_{p^e}: the prime-field
+elements are the constants of the packed representation.  So a point,
+divisor, polynomial or coefficient row over C(F_p) is, unchanged, one over
+C(F_{p^e}); base change swaps the curve and converts no values.
 """
 
 from __future__ import annotations
@@ -63,10 +68,6 @@ class Field:
     @property
     def is_finite(self):
         return self.order is not None
-
-    def embed(self, a):
-        """Image of a prime-subfield element; extension fields override."""
-        return a
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -262,10 +263,6 @@ class ExtensionField(Field):
 
     def from_int(self, n):
         return n % self.p
-
-    def embed(self, a):
-        """Image of a prime-field element under F_p -> F_{p^e}."""
-        return a % self.p
 
     def elements(self):
         return range(self.order)

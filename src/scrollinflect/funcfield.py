@@ -204,11 +204,11 @@ class FunctionRep:
         K = self.curve.field
         return FunctionRep(self.curve, pscal(K, c, self.n0), pscal(K, c, self.n1), self.d0)
 
-    def base_change(self, big_curve):
-        """The same function on the base change of its curve."""
-        emb = big_curve.field.embed
-        return FunctionRep(big_curve, [emb(c) for c in self.n0],
-                           [emb(c) for c in self.n1], [emb(c) for c in self.d0])
+    def base_change(self, e):
+        """The same function over F_{q^e}."""
+        if e == 1:
+            return self
+        return FunctionRep(self.curve.base_change(e), self.n0, self.n1, self.d0)
 
     # -- evaluation and expansion --------------------------------------------------
     def evaluate(self, place):

@@ -12,13 +12,16 @@ Two independent routes are provided:
 
 Exhaustive fibre scans over F_{q^e} classify each fibre's deficient
 directions as a projective-linear condition, so no per-direction rank
-computation is needed.  Taylor data stays in one form from the ambient
-expansion table to the classification: plain lists of field elements, put
-in the fibre frame by one helper (`_frame_coords`).  The osculating spans
-Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a ScanContext keeps one
-echelon accumulator per place, grown order by order (`flag`); every jet
-order, the centre-avoidance test of projections and the global generation
-check read prefixes of it.
+computation is needed.  A ScanContext has one sections path: H^0 of the
+twisted dual over the base curve (or the subsystem it is given), lifted to
+F_{q^e} through `base_change(e)`; the bundle and the twist class serve
+over the extension as they are.  Taylor data stays in one form from the
+ambient expansion table to the classification: plain lists of field
+elements, put in the fibre frame by one helper (`_frame_coords`).  The
+osculating spans Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a
+ScanContext keeps one echelon accumulator per place, grown order by order
+(`flag`); every jet order, the centre-avoidance test of projections and
+the global generation check read prefixes of it.
 """
 
 from __future__ import annotations
@@ -342,17 +345,13 @@ class ScanContext:
         self.M = M
         self.ext_degree = ext_degree
         self.k_max = k_max
-        big = base_curve.base_change(ext_degree)
-        self.curve = big
-        self.E = E_spec if ext_degree == 1 else E_spec.base_change(big)
-        self.M_big = M if ext_degree == 1 else base_curve.embed_divisor(M, big)
-        dual = dual_twist(self.E, self.M_big)
+        self.curve = base_curve.base_change(ext_degree)
+        self.E = E_spec.base_change(ext_degree)
         if sections is None:
-            self.sections = h0(dual)
-        else:
-            self.sections = embed_section_basis(sections, dual, big)
+            sections = h0(dual_twist(E_spec, M))
+        self.sections = sections.base_change(ext_degree)
         self.n = self.sections.dimension - 1
-        self.places = big.points()
+        self.places = self.curve.points()
         self._orders = {}
         self._flags = {}           # place -> (EchelonAccumulator, ranks by order)
 
@@ -387,18 +386,6 @@ class ScanContext:
         if k > self.k_max:
             raise InputError("scan context was built for a smaller jet order")
         return {place: self.place_scan(place, k) for place in self.places}
-
-
-def embed_section_basis(sections, dual_big, big_curve):
-    """The sections as sections of dual_big.  Over the same curve they keep
-    their ambient basis and its expansions; over an extension the ambient
-    basis is lifted (once per curve) and the coefficients are embedded."""
-    if big_curve is sections.spec.curve:
-        return SectionBasis(dual_big, sections.ambient, sections.coeffs)
-    ambient = sections.ambient.lift(big_curve)
-    emb = big_curve.field.embed
-    return SectionBasis(dual_big, ambient,
-                        [[emb(c) for c in row] for row in sections.coeffs])
 
 
 class FiberDeficiency:
@@ -523,11 +510,11 @@ def _oracle_cross_check(ctx, k, scans):
         direction = normalize_direction(K, basis[0])
         x = ScrollPoint(K, place, direction)
         jet_d = ps.rank_of(direction) - 1
-        via_jet = osc_dim(ctx.E, ctx.M_big, x, k, sections=ctx.sections)
+        via_jet = osc_dim(ctx.E, ctx.M, x, k, sections=ctx.sections)
         if via_jet != jet_d:
             raise InvariantViolation(
                 f"scan rank and jet rank disagree at {x!r}: {jet_d} vs {via_jet}")
-        oracle_d = osc_dim_oracle(ctx.E, ctx.M_big, x, k)
+        oracle_d = osc_dim_oracle(ctx.E, ctx.M, x, k)
         if oracle_d != via_jet:
             return False
         count += 1
@@ -541,7 +528,7 @@ def _witness_cross_check(ctx, k, scans, subfull):
     def witnesses(place, level):
         key = (place, level)
         if key not in witness_cache:
-            witness_cache[key] = subsheaf_witnesses(ctx.E, ctx.M_big, place, level)
+            witness_cache[key] = subsheaf_witnesses(ctx.E, ctx.M, place, level)
         return witness_cache[key]
 
     # completeness: every subfull point has a witness at its level or below

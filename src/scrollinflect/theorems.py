@@ -104,8 +104,7 @@ def _nowhere_vanishing(E_spec, sections, vec, curve):
     for place in curve.points():
         comps = [normalized_series(f, place, sections.component_shift(i, place), 2)
                  for i, f in enumerate(vec)]
-        coeffs = [[s.coeff(0), s.coeff(1)] for s in comps]
-        if lead_vectors(E_spec, place, [coeffs])[0] == zero:
+        if lead_vectors(E_spec, place, [comps])[0] == zero:
             return False
     return True
 
@@ -142,7 +141,6 @@ def segre1(E_spec, method="auto", ext_degree=1):
         if not E_spec.is_decomposable:
             raise Unsupported("the closed formula needs a decomposable bundle")
         best = max(range(r), key=lambda i: E_spec.factors[i].degree)
-        K = E_spec.curve.field
         unit = [FunctionRep.zero(E_spec.curve)] * r
         unit[best] = FunctionRep.one(E_spec.curve)
         witness = {"degree": hi, "class_divisor": E_spec.factors[best],
@@ -150,11 +148,10 @@ def segre1(E_spec, method="auto", ext_degree=1):
         return SegreReport(d - r * hi, "formula", (lo, hi), witness, E_spec.curve)
     if method != "bruteforce":
         raise InputError(f"unknown method {method!r}")
-    base_curve = E_spec.curve
-    if not base_curve.field.is_finite:
+    if not E_spec.curve.field.is_finite:
         raise Unsupported("brute force requires a finite base field")
-    curve = base_curve.base_change(ext_degree)
-    spec = E_spec if ext_degree == 1 else E_spec.base_change(curve)
+    spec = E_spec.base_change(ext_degree)
+    curve = spec.curve
     if lo > hi:
         raise InputError("empty search window")
     for a in range(hi, lo - 1, -1):
@@ -346,25 +343,26 @@ class _ScanPool:
         return got
 
     def first_subfull(self, M_list, k, e_list):
-        """First (M, e, FiberDeficiency) with dim Osc^k < kr somewhere, or None."""
+        """First (ScanContext, FiberDeficiency) with dim Osc^k < kr somewhere,
+        or None."""
         for e in e_list:
             for M in M_list:
                 ctx = self.ctx(M, e)
                 rec = next(_classify(ctx, ctx.scan_level(k), k * self.E.rank + 1),
                            None)
                 if rec is not None:
-                    return M, e, rec
+                    return ctx, rec
         return None
 
 
-def _witness_json(curve, found):
+def _witness_json(found):
     """A first_subfull result as JSON: the twist class, the extension degree,
     the point, and its first deficient direction or the whole fibre."""
     if found is None:
         return None
-    M, e, rec = found
-    big = curve.base_change(e)
-    out = {"M": curve.divisor_to_json(M), "ext_degree": e,
+    ctx, rec = found
+    big = ctx.curve
+    out = {"M": ctx.base_curve.divisor_to_json(ctx.M), "ext_degree": ctx.ext_degree,
            "point": big.place_to_json(rec.place)}
     if rec.mode == "all":
         out["whole_fiber"] = True
@@ -385,8 +383,10 @@ _PROXY_CAVEATS = [
 ]
 
 
-def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, witness_ext=3,
-                           s1_method="auto"):
+_WITNESS_EXT = 3            # F_{q^e} searched for a failure witness when s1 is small
+
+
+def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, s1_method="auto"):
     """The s_1 threshold criterion: s1 > d + r(1 + k) at genus one holds iff
     every fibre point osculates fully at order k, for every twist class."""
     curve = E_spec.curve
@@ -407,11 +407,11 @@ def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, witness_ext=3,
             found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
             ok = found is None
         else:
-            found = pool.first_subfull(M_list, k, range(1, max(witness_ext,
+            found = pool.first_subfull(M_list, k, range(1, max(_WITNESS_EXT,
                                                                ext_degree) + 1))
             ok = found is not None
         clauses.append({"id": f"k={k}", "inequality_holds": ineq,
-                        "pass": ok, "witness": _witness_json(curve, found)})
+                        "pass": ok, "witness": _witness_json(found)})
     inputs = _bundle_inputs(E_spec)
     inputs["s1"] = s1
     return TheoremReport("mainA", inputs, clauses, _PROXY_CAVEATS)
@@ -438,7 +438,7 @@ def _first_wedge_witness(E_spec, wedges, ext_degree):
         for k in ks:
             found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
             if found is not None:
-                return {"wedge": n, "k": k, "witness": _witness_json(curve, found)}
+                return {"wedge": n, "k": k, "witness": _witness_json(found)}
     return None
 
 
@@ -542,7 +542,7 @@ def verify_generic_inflection(E_spec, ext_degree=2):
             if low_witness is not None:
                 break
             low_witness = _witness_json(
-                curve, pool.first_subfull([M], k, range(1, ext_degree + 1)))
+                pool.first_subfull([M], k, range(1, ext_degree + 1)))
         per_e = []
         for e in top_degrees:
             rep = scan_report(pool.ctx(M, e), k_prime, cross_check=False)
@@ -595,8 +595,7 @@ def _center_avoids(ctx, k_m, coeff_rows):
     return True
 
 
-def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
-                      adversarial=True):
+def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
     """Random subsystems keep the low-order inflection behaviour of the full
     system; an engineered subsystem shows the genericity hypothesis matters.
 
@@ -613,7 +612,6 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
     """
     from .scroll import adversarial_projection, osc_dim, project_system
 
-    curve = E_spec.curve
     full_sections = h0(dual_twist(E_spec, M))
     n = full_sections.dimension - 1
     if not (1 <= m_plus_1 <= n):
@@ -656,17 +654,15 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1,
                     "pass": all_match and fraction_ok,
                     "seeds": len(seeds), "general": general_count,
                     "matched": all_match, "mismatch": mismatch})
-    if adversarial:
-        x = _generic_point(E_spec, full_ctx)
-        W_adv = adversarial_projection(E_spec, M, x, m_plus_1,
-                                       sections=full_sections)
-        dim_at_x = osc_dim(E_spec, M, x, 1, sections=W_adv)
-        adv_ctx = ScanContext(E_spec, M, ext_degree=1, k_max=1, sections=W_adv)
-        adv_rep = scan_report(adv_ctx, 1, cross_check=False)
-        forced = dim_at_x < adv_rep.d_k
-        clauses.append({"id": "adversarial-projection-inflects", "pass": forced,
-                        "point": full_ctx.curve.place_to_json(x.place),
-                        "dim_at_point": dim_at_x, "d_k_W": adv_rep.d_k})
+    x = _generic_point(E_spec, full_ctx)
+    W_adv = adversarial_projection(E_spec, M, x, m_plus_1, sections=full_sections)
+    dim_at_x = osc_dim(E_spec, M, x, 1, sections=W_adv)
+    adv_ctx = ScanContext(E_spec, M, ext_degree=1, k_max=1, sections=W_adv)
+    adv_rep = scan_report(adv_ctx, 1, cross_check=False)
+    forced = dim_at_x < adv_rep.d_k
+    clauses.append({"id": "adversarial-projection-inflects", "pass": forced,
+                    "point": full_ctx.curve.place_to_json(x.place),
+                    "dim_at_point": dim_at_x, "d_k_W": adv_rep.d_k})
     return TheoremReport("appendixA", _bundle_inputs(E_spec), clauses,
                          _PROXY_CAVEATS)
 

@@ -169,8 +169,7 @@ def test_criterion_4_segre_threshold_family(C7):
     assert all(-9 <= E.degree <= -4 for E in family)
     failures = []
     for i, E in enumerate(family):
-        rep = verify_segre_threshold(E, ext_degree=2, witness_ext=3,
-                                     s1_method="bruteforce")
+        rep = verify_segre_threshold(E, ext_degree=2, s1_method="bruteforce")
         if not rep.passed:
             failures.append((i, rep.to_json()))
     report("criterion 4: s1 threshold equivalence on curated family",

@@ -12,6 +12,9 @@ FLAG pins a scan through the frame change at a modified place over F_49 and
 `verify appendixA` over F_49; their hashes were recorded before fibre
 Taylor data became plain coefficient lists read through one nested
 echelon flag per place.
+LIFT pins scans over F_343, of a modified and of a split bundle; their
+hashes were recorded before extension scans lifted the base-field
+sections in place of computing H^0 over the extension.
 """
 
 import hashlib
@@ -64,6 +67,13 @@ FLAG = [
      "a380724d2b18492851a7c42473e19067e6ce735845bfb1474a34df63252ec35a"),
 ]
 
+LIFT = [
+    (["scan", "--instance", "esharp.json", "--k", "1", "--ext", "3"],
+     "d06d40ca1afcac12f9de99fc75881fc43c8d5a2879630cca6fddffb25a1755d7"),
+    (["osc", "--instance", "eflat.json", "--k", "1", "--ext", "3"],
+     "05e10f78710914f8f0555cb166994e9db36f377a9eff9fbe65a8f49120275eb1"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -95,4 +105,9 @@ def test_verifier_output_is_pinned(argv, digest, capsys):
 @pytest.mark.parametrize("argv, digest", FLAG,
                          ids=["scan-esharp-ext2", "appendixA-estar-ext2"])
 def test_flag_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", LIFT, ids=["scan-esharp-ext3", "osc-eflat-ext3"])
+def test_lifted_extension_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest

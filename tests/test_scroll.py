@@ -4,7 +4,7 @@ from scrollinflect.bundle import BundleSpec, dual_twist, h0, normalized_series
 from scrollinflect.curve import Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
 from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
-                                  adversarial_projection, embed_section_basis,
+                                  adversarial_projection,
                                   global_generation_check, infl_scan, jet_matrix,
                                   osc_dim, osc_dim_oracle, project_system,
                                   projective_points, scan_report, standard_basis,
@@ -182,9 +182,8 @@ def test_extension_scan(estar):
 def test_modified_bundle_oracle_over_extension(esharp, rng):
     # base change the conditioned bundle and compare both routes at the
     # modified place with genuinely quadratic direction coordinates
-    big = esharp.curve.base_change(2)
-    E = esharp.base_change(big)
-    K = big.field
+    E = esharp.base_change(2)
+    K = E.curve.field
     Q = Place(5, 1)
     gen = 7                                  # packed generator of F_49 over F_7
     for d in [(K.one, gen), (K.one, K.add(gen, K.one)), (K.one, K.zero)]:
@@ -266,20 +265,20 @@ def test_projective_point_enumeration(F7):
 @pytest.mark.parametrize("name", ["estar", "esharp"])
 def test_section_series_is_linear_in_the_coefficients(name, request, C7, rng):
     """Combining ambient expansions equals expanding the summed functions,
-    over F_7 and, through an embedded basis, at a sample of F_49 places."""
+    over F_7 and, through the lifted basis, at a sample of F_49 places."""
     E = request.getfixturevalue(name)
     V = h0(dual_twist(E, M0))
     K = C7.field
     big = C7.base_change(2)
-    dual_big = dual_twist(E.base_change(big), M0)
     for _ in range(3):
         rows = [[rng.randrange(K.order) for _ in range(V.dimension)]
                 for _ in range(3)]
         W = _combo_basis(V, rows)
         assert W.ambient is V.ambient
-        Wb = embed_section_basis(W, dual_big, big)
+        Wb = W.base_change(2)
+        assert Wb.ambient is W.ambient.base_change(2)
         for vec, vec_big in zip(W.vectors, Wb.vectors):
-            assert [f.base_change(big) for f in vec] == list(vec_big)
+            assert [f.base_change(2) for f in vec] == list(vec_big)
         for basis, places in [(W, C7.points()), (Wb, rng.sample(big.points(), 6))]:
             for place in places:
                 for prec in (6, 3):          # the second request truncates
@@ -287,5 +286,20 @@ def test_section_series_is_linear_in_the_coefficients(name, request, C7, rng):
                     for vec, comps in zip(basis.vectors, coeffs):
                         for i, (f, comp) in enumerate(zip(vec, comps)):
                             shift = basis.component_shift(i, place)
-                            ref = normalized_series(f, place, shift, prec)
-                            assert comp == [ref.coeff(j) for j in range(prec)]
+                            assert comp == normalized_series(f, place, shift, prec)
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("name", ["estar", "esharp", "eflat"])
+def test_lifted_sections_equal_extension_h0(name, e, request, C7):
+    """A scan over F_{q^e} lifts the base-field sections; computing H^0 of the
+    base-changed bundle directly over F_{q^e} gives the same basis."""
+    E = request.getfixturevalue(name)
+    for M in C7.pic0_representatives():
+        ctx = ScanContext(E, M, ext_degree=e)
+        ref = h0(dual_twist(E.base_change(e), M))
+        assert ref.spec.curve is C7.base_change(e)
+        assert ctx.M is M
+        assert ctx.sections.spec.curve is ref.spec.curve
+        assert ctx.sections.coeffs == ref.coeffs
+        assert ctx.sections.vectors == ref.vectors

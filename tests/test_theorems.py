@@ -136,8 +136,7 @@ def test_quot_tangent_rejects_vanishing_witness(C7, estar):
 
 
 def test_main_threshold_verifier(estar, eflat):
-    rep = verify_segre_threshold(estar, k_values=[0, 1, 2], ext_degree=1,
-                                 witness_ext=3)
+    rep = verify_segre_threshold(estar, k_values=[0, 1, 2], ext_degree=1)
     assert rep.passed
     ineqs = [c["inequality_holds"] for c in rep.clauses]
     assert ineqs == [True, True, False]
