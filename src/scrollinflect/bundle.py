@@ -16,12 +16,16 @@ contributes one linear row.
 A SectionBasis is a coefficient matrix over that ambient basis, never a
 list of summed functions.  The ambient functions are expanded once per
 place, at the largest precision asked for, and kept as plain lists of
-field elements; every section's components are exact linear combinations
-of those lists (`section_coeffs`), and the fibre scans read them in that
-form, with no series object built; subsystems (random or adversarial
-projections) share the ambient basis and its expansions.  Expansion is
-linear modulo t^prec, so every coefficient read is the one the summed
-function gives.
+field elements.  Those tables are built in the factored form rr_basis
+returns: every function of a factor's basis is b * (1/h) with b a
+monomial x^i, x^i y or the simple-pole function, so 1/h is expanded once
+per (factor, place), each b comes from one expansion kept per curve and
+place, and each row is their truncated product.  Every section's
+components are exact linear combinations of those lists
+(`section_coeffs`), and the fibre scans read them in that form, with no
+series object built; subsystems (random or adversarial projections)
+share the ambient basis and its expansions.  Expansion is linear modulo
+t^prec, so every coefficient read is the one the summed function gives.
 
 Base change to F_{q^e} converts no values (fields.py): by flat base change
 H^0 over F_{q^e} is the lift of H^0 over F_q, so an extension scan
@@ -287,19 +291,24 @@ def normalized_series(f, place, shift, prec):
 
 class AmbientBasis:
     """The (slot, f) pairs with f running through a Riemann-Roch basis of
-    L(D_slot + twist), for each factor D_slot of a bundle.
+    L(D_slot + twist), for each factor D_slot of a bundle; `bases` holds
+    those bases, one per slot, in the factored form rr_basis returns.
 
     Normalized expansions are computed once per place, at the largest
     precision asked for so far, and truncated for smaller requests: the
     coefficient tables of t^0 .. t^(prec-1) are what every section basis
-    over this ambient list combines.
+    over this ambient list combines.  A table is built factor by factor
+    (funcfield.RRBasis.normalized_rows): each slot's 1/h is expanded once,
+    each x^i, x^i y or simple-pole numerator comes from one expansion kept
+    on the curve, and each row is their product.
     """
 
-    def __init__(self, curve, factors, twist, pairs):
+    def __init__(self, curve, factors, twist, bases):
         self.curve = curve
         self.factors = factors
         self.twist = twist
-        self.pairs = pairs
+        self.bases = bases
+        self.pairs = [(slot, f) for slot, basis in enumerate(bases) for f in basis]
         self._tables = {}          # place -> (prec, one coefficient list per pair)
         self._base_changes = {}    # e -> the same pairs over F_{q^e}
 
@@ -309,9 +318,8 @@ class AmbientBasis:
     def table(self, place, prec):
         got = self._tables.get(place)
         if got is None or got[0] < prec:
-            shifts = [self.shift(i, place) for i in range(len(self.factors))]
-            rows = [normalized_series(f, place, shifts[slot], prec)
-                    for slot, f in self.pairs]
+            rows = [row for basis in self.bases
+                    for row in basis.normalized_rows(place, prec)]
             got = (prec, rows)
             self._tables[place] = got
         return got[1]
@@ -323,7 +331,7 @@ class AmbientBasis:
         lifted = self._base_changes.get(e)
         if lifted is None:
             lifted = AmbientBasis(self.curve.base_change(e), self.factors, self.twist,
-                                  [(slot, f.base_change(e)) for slot, f in self.pairs])
+                                  [basis.base_change(e) for basis in self.bases])
             self._base_changes[e] = lifted
         return lifted
 
@@ -423,9 +431,9 @@ def h0(spec, twist=None):
     K = curve.field
     if twist is None:
         twist = Divisor()
-    pairs = [(i, f) for i, factor in enumerate(spec.factors)
-             for f in rr_basis(curve, factor.add(twist))]
-    ambient = AmbientBasis(curve, spec.factors, twist, pairs)
+    ambient = AmbientBasis(curve, spec.factors, twist,
+                           [rr_basis(curve, factor.add(twist)) for factor in spec.factors])
+    pairs = ambient.pairs
     if not pairs:
         return SectionBasis(spec, ambient, [])
     rows = []

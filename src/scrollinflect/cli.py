@@ -29,12 +29,14 @@ class Instance:
     """Parsed instance file: field, curve, bundle, twist selector, parameters."""
 
     def __init__(self, obj):
-        self.field = field_from_desc(obj["field"])
-        cdesc = obj["curve"]
+        if not isinstance(obj, dict):
+            raise InputError("an instance file must hold a JSON object")
+        self.field = field_from_desc(_json_object(obj, "field"))
+        cdesc = _json_object(obj, "curve")
         a4 = self.field.elt_from_json(cdesc["a4"])
         a6 = self.field.elt_from_json(cdesc["a6"])
         self.curve = Curve(self.field, a4, a6)
-        self.bundle = BundleSpec.from_json(self.curve, obj["bundle"])
+        self.bundle = BundleSpec.from_json(self.curve, _json_object(obj, "bundle"))
         self.M_selector = obj.get("M", [])
         params = obj.get("parameters") or {}
         if not isinstance(params, dict):
@@ -69,6 +71,13 @@ class Instance:
         if D.degree != 0:
             raise InputError("twist class must have degree zero")
         return [D]
+
+
+def _json_object(obj, key):
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise InputError(f"{key} must be a JSON object")
+    return value
 
 
 def load_instance(path, overrides):

@@ -130,6 +130,7 @@ class Curve:
         self.a6 = a6
         self.discriminant = disc
         self._param_cache = {}
+        self._monomial_expansions = {}   # funcfield: (place, key) -> (prec, series)
         self._base_changes = {}
         self._points = None
         if field.is_finite:
@@ -248,6 +249,14 @@ class Curve:
             self._base_changes[e] = big
         return big
 
+    def frobenius(self, place):
+        """(x^p, y^p): the Frobenius image of a place of a curve over F_p or
+        an extension of it."""
+        if place.is_infinity:
+            return place
+        K = self.field
+        return Place(K.frobenius(place.x), K.frobenius(place.y))
+
     # -- local parametrisation ---------------------------------------------------
     def uniformiser_kind(self, place):
         """'infinity' (t = x/y), 'ramified' (t = y) or 'generic' (t = x - x0)."""
@@ -329,6 +338,8 @@ class Curve:
     def place_from_json(self, obj):
         if obj == "O":
             return INFINITY
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise InputError(f"point {obj!r} is neither \"O\" nor two coordinates")
         K = self.field
         return self.check_place(Place(K.elt_from_json(obj[0]), K.elt_from_json(obj[1])))
 

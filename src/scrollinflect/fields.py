@@ -105,6 +105,10 @@ class PrimeField(Field):
     def from_int(self, n):
         return n % self.p
 
+    def frobenius(self, a):
+        """a^p, which is a itself in F_p."""
+        return a
+
     def elements(self):
         return range(self.p)
 
@@ -117,7 +121,10 @@ class PrimeField(Field):
         return str(a)
 
     def elt_from_json(self, obj):
-        return int(obj) % self.p
+        try:
+            return int(obj) % self.p
+        except (TypeError, ValueError):
+            raise InputError(f"{obj!r} is not an element of F_{self.p}") from None
 
     def desc(self):
         return {"kind": "prime", "p": self.p}
@@ -229,7 +236,8 @@ class ExtensionField(Field):
         reduction mod q - 1 and a zero factor needs no branch.  zech[n] is
         log(1 + g^n), zero's log where 1 + g^n = 0; add indexes it by
         log b - log a, and a negative index wraps to the same power of g.
-        -1 = g^half, with half = 0 in characteristic 2.
+        -1 = g^half, with half = 0 in characteristic 2.  frob[a] is a^p,
+        read as g^(p log a).
         """
         qm1 = self.order - 1
         zero_log = 2 * qm1
@@ -240,6 +248,7 @@ class ExtensionField(Field):
         self._log = log
         self._zech = [log[self._digit_add(1, v)] for v in expt]
         self._half = qm1 // 2 if self.p != 2 else 0
+        self._frob = [0] + [expt[self.p * log[a] % qm1] for a in range(1, self.order)]
 
     # -- field operations --------------------------------------------------
     def add(self, a, b):
@@ -264,6 +273,10 @@ class ExtensionField(Field):
     def from_int(self, n):
         return n % self.p
 
+    def frobenius(self, a):
+        """a^p: the automorphism generating Gal(F_{p^e}/F_p)."""
+        return self._frob[a]
+
     def elements(self):
         return range(self.order)
 
@@ -276,9 +289,12 @@ class ExtensionField(Field):
         return self._unpack(a)
 
     def elt_from_json(self, obj):
-        if isinstance(obj, (int, str)):
-            return int(obj) % self.p
-        return self._pack([int(c) for c in obj])
+        try:
+            if isinstance(obj, (int, str)):
+                return int(obj) % self.p
+            return self._pack([int(c) for c in obj])
+        except (TypeError, ValueError):
+            raise InputError(f"{obj!r} is not an element of {self!r}") from None
 
     def desc(self):
         return {"kind": "extension", "p": self.p, "degree": self.degree,

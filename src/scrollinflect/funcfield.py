@@ -10,7 +10,7 @@ accumulation, and Riemann-Roch bases.
 
 from __future__ import annotations
 
-from .curve import INFINITY, single
+from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, PrecisionError
 from .series import LaurentSeries
 
@@ -406,7 +406,8 @@ def principal_function(curve, D):
 
 
 def _pole_basis_at_infinity(curve, m):
-    """Basis of L(m(O)): monomials x^i and x^i y sorted by pole order."""
+    """Basis of L(m(O)): monomials x^i and x^i y sorted by pole order, each
+    paired with that pole order (2i or 2i + 3), which names it."""
     K = curve.field
     out = []
     for i in range(m // 2 + 1):
@@ -419,7 +420,7 @@ def _pole_basis_at_infinity(curve, m):
         out.append((2 * i + 3, FunctionRep(curve, [], xi, [K.one])))
         i += 1
     out.sort(key=lambda t: t[0])
-    return [f for _, f in out]
+    return out
 
 
 def _simple_pole_function(curve, T):
@@ -429,15 +430,106 @@ def _simple_pole_function(curve, T):
     return num.div(vertical_line(curve, T))
 
 
+def _monomial_expansion(curve, key, b, place, prec):
+    """b mod t^prec at the place, or None when b vanishes there to order
+    >= prec.  Kept per (curve, place, key) at the largest precision asked
+    for; smaller requests truncate it."""
+    memo = curve._monomial_expansions
+    got = memo.get((place, key))
+    if got is None or got[0] < prec:
+        try:
+            exp = b.local_expansion(place, prec)
+        except PrecisionError:
+            exp = None
+        got = (prec, exp)
+        memo[(place, key)] = got
+    exp = got[1]
+    if exp is None or got[0] == prec:
+        return exp
+    exp = exp.truncate(prec)
+    return exp if exp.coeffs else None
+
+
+class RRBasis(list):
+    """The basis b * hinv of L(D) that rr_basis returns, with its factors.
+
+    `target` is an effective divisor linearly equivalent to D (m(O), or
+    (T) + (m - 1)(O)), `monomials` the fixed basis of L(target) as
+    (key, b) pairs, and hinv = 1/h for h with divisor D - target.  A key
+    (pole order at O, or the pole T) names b on every curve, so expansions
+    of b are shared by every basis on the curve (`_monomial_expansion`).
+    """
+
+    def __init__(self, curve, D, funcs=(), hinv=None, monomials=(), target=None):
+        super().__init__(funcs)
+        self.curve = curve
+        self.D = D
+        self.hinv = hinv
+        self.monomials = list(monomials)
+        self.target = target
+
+    def base_change(self, e):
+        """The same basis and factors over F_{q^e}."""
+        if e == 1:
+            return self
+        if not self:
+            return RRBasis(self.curve.base_change(e), self.D)
+        return RRBasis(self.curve.base_change(e), self.D,
+                       [f.base_change(e) for f in self], self.hinv.base_change(e),
+                       [(key, b.base_change(e)) for key, b in self.monomials],
+                       self.target)
+
+    def normalized_rows(self, place, prec):
+        """Per basis function f, the coefficients of t^0 .. t^(prec-1) of
+        t^mult_place(D) * f, as bundle.normalized_series reads them.
+
+        With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
+        that series is (t^a b) * (t^-v hinv): a power series times a unit.
+        So hinv is expanded once, mod t^(prec + v), each b mod t^(prec - a)
+        (an expansion b lacks at that precision is a zero row), and each row
+        is one truncated product.
+        """
+        K = self.curve.field
+        zero = K.zero
+        rows = [[zero] * prec for _ in self]
+        if not self or prec <= 0:
+            return rows
+        a = self.target.mult(place)
+        v = a - self.D.mult(place)
+        unit = self.hinv.local_expansion(place, prec + v)
+        if unit.val != v:
+            raise InvariantViolation(
+                f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
+        u = unit.coeffs
+        for row, (key, b) in zip(rows, self.monomials):
+            exp = _monomial_expansion(self.curve, key, b, place, prec - a)
+            if exp is None:
+                continue
+            for i, c in enumerate(exp.coeffs, exp.val + a):
+                if c == zero:
+                    continue
+                for j in range(min(len(u), prec - i)):
+                    row[i + j] = K.add(row[i + j], K.mul(c, u[j]))
+        return rows
+
+
 def rr_basis(curve, D):
-    """Basis of L(D) = {f : div(f) + D >= 0}; genus-1 dimensions are exact."""
+    """Basis of L(D) = {f : div(f) + D >= 0}; genus-1 dimensions are exact.
+
+    The basis is b * hinv with b running through a fixed basis of L(target),
+    target effective and linearly equivalent to D, and h = principal
+    function of D - target.  The result is a list of those products, an
+    RRBasis that also keeps hinv, the b and target, so expansions can be
+    formed factor by factor (RRBasis.normalized_rows).
+    """
     m = D.degree
     if m < 0:
-        return []
+        return RRBasis(curve, D)
     if m == 0:
         if curve.is_principal(D):
-            return [principal_function(curve, D.neg())]
-        return []
+            f = principal_function(curve, D.neg())
+            return RRBasis(curve, D, [f], f, [(0, FunctionRep.one(curve))], Divisor())
+        return RRBasis(curve, D)
     T, shift = curve.divisor_reduce(D)
     s = m - 1
     if T.is_infinity:
@@ -446,8 +538,8 @@ def rr_basis(curve, D):
     else:
         base = _pole_basis_at_infinity(curve, s)
         if s >= 1:
-            base = base + [_simple_pole_function(curve, T)]
+            base = base + [(T, _simple_pole_function(curve, T))]
         target = single(T).add(single(INFINITY, s))
     h = principal_function(curve, D.sub(target))
     hinv = h.inverse()
-    return [b.mul(hinv) for b in base]
+    return RRBasis(curve, D, [b.mul(hinv) for _, b in base], hinv, base, target)

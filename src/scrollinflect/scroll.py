@@ -15,9 +15,13 @@ directions as a projective-linear condition, so no per-direction rank
 computation is needed.  A ScanContext has one sections path: H^0 of the
 twisted dual over the base curve (or the subsystem it is given), lifted to
 F_{q^e} through `base_change(e)`; the bundle and the twist class serve
-over the extension as they are.  Taylor data stays in one form from the
-ambient expansion table to the classification: plain lists of field
-elements, put in the fibre frame by one helper (`_frame_coords`).  The
+over the extension as they are.  All of these are defined over F_q, so
+the Taylor data at a conjugate place sigma(p) is the Frobenius image of
+the data at p: an extension context expands the order matrices at one
+place per Frobenius orbit and maps them entrywise to the rest of the
+orbit (ScanContext).  Taylor data stays in one form from the ambient
+expansion table to the classification: plain lists of field elements,
+put in the fibre frame by one helper (`_frame_coords`).  The
 osculating spans Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a
 ScanContext keeps one echelon accumulator per place, grown order by order
 (`flag`); every jet order, the centre-avoidance test of projections and
@@ -331,7 +335,20 @@ class PlaceScan:
 
 class ScanContext:
     """Shared per-(E, M, extension) scan data: sections, order matrices and
-    one nested osculating flag per place."""
+    one nested osculating flag per place.
+
+    Over F_{q^e}, e > 1, the order matrices are expanded only at the first
+    place of each Frobenius orbit (in `places` order); q is prime here
+    (fields.extension_of) and sigma is a -> a^q.  This is sound because E,
+    M, the sections (coefficient rows over F_q on a Riemann-Roch basis of
+    the base curve) and the canonical uniformisers x - x0, y and x/y are
+    all defined over F_q, and the frame changes and echelon steps commute
+    with a field automorphism: at sigma(p) every Taylor coefficient is the
+    image under sigma of the one at p, so orders_at(sigma(p)) is read
+    entrywise from orders_at(p).  The sections must therefore live on the
+    bundle's base curve, which the constructor checks.  At e = 1 no orbit
+    is formed.
+    """
 
     def __init__(self, E_spec, M, ext_degree=1, k_max=0, sections=None):
         base_curve = E_spec.curve
@@ -341,24 +358,42 @@ class ScanContext:
         check_jet_order(base_curve.field, k_max)
         if M.degree != 0:
             raise InputError("the twist class must have degree zero")
+        if sections is None:
+            sections = h0(dual_twist(E_spec, M))
+        elif sections.spec.curve != base_curve:
+            raise InputError("the sections must live on the bundle's curve")
         self.base_curve = base_curve
         self.M = M
         self.ext_degree = ext_degree
         self.k_max = k_max
         self.curve = base_curve.base_change(ext_degree)
         self.E = E_spec.base_change(ext_degree)
-        if sections is None:
-            sections = h0(dual_twist(E_spec, M))
         self.sections = sections.base_change(ext_degree)
         self.n = self.sections.dimension - 1
         self.places = self.curve.points()
         self._orders = {}
         self._flags = {}           # place -> (EchelonAccumulator, ranks by order)
+        self._preimage = {}        # place -> its Frobenius preimage, off orbit starts
+        if ext_degree > 1:
+            for place in self.places:
+                if place in self._preimage:
+                    continue
+                image = self.curve.frobenius(place)
+                prev = place
+                while image != place:
+                    self._preimage[image] = prev
+                    prev, image = image, self.curve.frobenius(image)
 
     def orders_at(self, place):
         got = self._orders.get(place)
         if got is None:
-            got = order_matrices(self.E, self.sections, place, self.k_max)
+            prev = self._preimage.get(place)
+            if prev is None:
+                got = order_matrices(self.E, self.sections, place, self.k_max)
+            else:
+                frob = self.curve.field.frobenius
+                got = [[[frob(a) for a in row] for row in B]
+                       for B in self.orders_at(prev)]
             self._orders[place] = got
         return got
 

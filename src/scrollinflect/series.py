@@ -23,7 +23,9 @@ class LaurentSeries:
             coeffs.pop(0)
             val += 1
         if val + len(coeffs) > prec:
-            del coeffs[prec - val:]
+            # past the precision nothing is known: a valuation at or above it
+            # leaves the window empty
+            del coeffs[max(prec - val, 0):]
             while coeffs and coeffs[0] == z:
                 coeffs.pop(0)
                 val += 1

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from scrollinflect.bundle import (BundleSpec, Modification, chi_h1, dual_twist,
-                                  elementary_transform, h0, wedge)
+                                  elementary_transform, h0, normalized_series, wedge)
 from scrollinflect.curve import Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
 
@@ -143,3 +143,27 @@ def test_bundle_json_roundtrip(C7, esharp):
     assert again.factors == esharp.factors
     assert [m.place for m in again.modifications] == \
         [m.place for m in esharp.modifications]
+
+
+@pytest.mark.parametrize("name, M", [("estar", Divisor()), ("esharp", Divisor()),
+                                     ("esharp", Divisor({P31: 1, INFINITY: -1})),
+                                     ("eflat", Divisor({Q51: 1, INFINITY: -1}))],
+                         ids=["estar-O", "esharp-O", "esharp-affine", "eflat-affine"])
+def test_ambient_tables_equal_normalized_series(name, M, request, C7, rng):
+    """AmbientBasis.table, built factor by factor, equals normalized_series
+    of each ambient function, at every C7 place and sampled F_49 places,
+    for increasing and decreasing precision requests; a fresh ambient basis
+    per request reads the monomial expansions the curve kept from larger
+    ones."""
+    E = request.getfixturevalue(name)
+    sample = rng.sample(C7.base_change(2).points(), 8)
+    for order in ((1, 2, 4, 7), (7, 4, 2, 1)):
+        for e, places in ((1, C7.points()), (2, sample)):
+            kept = h0(dual_twist(E, M)).ambient.base_change(e)
+            for prec in order:
+                fresh = h0(dual_twist(E, M)).ambient.base_change(e)
+                for place in places:
+                    want = [normalized_series(f, place, fresh.shift(slot, place), prec)
+                            for slot, f in fresh.pairs]
+                    for amb in (kept, fresh):
+                        assert [row[:prec] for row in amb.table(place, prec)] == want

@@ -156,6 +156,16 @@ def test_input_errors_exit_1(tmp_path, capsys):
         code, out = run_inproc(["segre", "--instance", str(INSTANCES / "estar.json")]
                                + flags, capsys)
         assert code == 1 and "parameter" in json.loads(out)["error"], flags
+    # malformed JSON shapes: a field, a curve coefficient, the whole file, a point
+    for message, edit in [
+            ("field", lambda d: d.update(field=[7])),
+            ("[1, 2]", lambda d: d["curve"].update(a4=[1, 2])),
+            ("JSON object", lambda d: [d]),
+            ("point", lambda d: d["bundle"]["factors"][1][1].update(point=["3"]))]:
+        doc = json.loads((INSTANCES / "estar.json").read_text())
+        bad.write_text(json.dumps(edit(doc) or doc))
+        code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
+        assert code == 1 and message in json.loads(out)["error"], message
 
 
 def test_byte_determinism_across_processes():

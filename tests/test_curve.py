@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from scrollinflect.bundle import normalized_series
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, PrecisionError
 from scrollinflect.fields import PrimeField
@@ -160,6 +161,54 @@ def test_local_expansion_precision_error(C7):
     x = FunctionRep.coordinate_x(C7)
     with pytest.raises(PrecisionError):
         x.local_expansion(INFINITY, -2)      # window ends at the valuation
+
+
+def test_expansion_vanishing_past_the_precision_raises(C7):
+    # vanishes to order 4 at O: no coefficient is visible modulo t^3
+    B = C7.base_change(2)
+    f = FunctionRep(B, [5, 6, 1], [4], [0, 4, 4, 3, 1])
+    assert f.local_expansion(INFINITY, 5).valuation() == 4
+    with pytest.raises(PrecisionError):
+        f.local_expansion(INFINITY, 3)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_frobenius_is_the_pth_power(C7, e):
+    big = C7.base_change(e)
+    K = big.field
+    assert all(K.frobenius(a) == K.pow(a, 7) for a in K.elements())
+    for place in big.points():
+        image = big.frobenius(place)
+        assert big.contains(image)
+        orbit = [place]
+        while image != place:
+            orbit.append(image)
+            image = big.frobenius(image)
+        assert len(orbit) in (1, e)
+        assert (len(orbit) == 1) == (place in C7.points())
+
+
+def test_factored_rows_equal_direct_expansions(C7, rng):
+    """RRBasis.normalized_rows (1/h expanded once, each monomial from the
+    curve's memo) equals expanding every product b/h by itself, for degree-0
+    (principal and not), low and high degree, affine support included."""
+    from conftest import random_divisor
+    P, Q = Place(3, 1), Place(5, 1)
+    divisors = [Divisor(), Divisor({P: 1, C7.point_neg(P): 1, INFINITY: -2}),
+                Divisor({P: 1, INFINITY: -1}), single(P), Divisor({P: 2, Q: -1}),
+                single(INFINITY, 5), Divisor({P: -2, Q: 3, INFINITY: 4})]
+    divisors += [random_divisor(C7, rng, rng.randint(0, 6)) for _ in range(6)]
+    big = C7.base_change(2)
+    for D in divisors:
+        basis = rr_basis(C7, D)
+        assert basis.D is D
+        for b, places in [(basis, C7.points()),
+                          (basis.base_change(2), rng.sample(big.points(), 6))]:
+            for place in places:
+                for prec in (5, 1, 3):
+                    want = [normalized_series(f, place, D.mult(place), prec)
+                            for f in b]
+                    assert b.normalized_rows(place, prec) == want
 
 
 def test_expansion_multiplicativity_random(C7, rng):

@@ -15,6 +15,9 @@ echelon flag per place.
 LIFT pins scans over F_343, of a modified and of a split bundle; their
 hashes were recorded before extension scans lifted the base-field
 sections in place of computing H^0 over the extension.
+ORBITS pins `verify mainA` and an all-twist scan over F_343, where most
+Frobenius orbits have three places; their hashes were recorded before
+scans expanded one place per orbit and ambient sections as b * (1/h).
 """
 
 import hashlib
@@ -74,6 +77,13 @@ LIFT = [
      "05e10f78710914f8f0555cb166994e9db36f377a9eff9fbe65a8f49120275eb1"),
 ]
 
+ORBITS = [
+    (["verify", "mainA", "--instance", "estar.json", "--ext", "3"],
+     "bbcf4e2ffe4b875d74a0dd2fde74d7b6d08ce761855eb1de3db713fa0d8b4383"),
+    (["scan", "--instance", "estar.json", "--k", "2", "--M", "all", "--ext", "3"],
+     "f9e48bac7738810ebdcb12f7ddbbe151fdc93e8cc7d360aee3a666c8de738d4f"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -110,4 +120,9 @@ def test_flag_output_is_pinned(argv, digest, capsys):
 
 @pytest.mark.parametrize("argv, digest", LIFT, ids=["scan-esharp-ext3", "osc-eflat-ext3"])
 def test_lifted_extension_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", ORBITS, ids=["mainA-estar-ext3", "scan-estar-ext3"])
+def test_orbit_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest

@@ -6,7 +6,8 @@ from scrollinflect.errors import InputError, Unsupported
 from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
                                   adversarial_projection,
                                   global_generation_check, infl_scan, jet_matrix,
-                                  osc_dim, osc_dim_oracle, project_system,
+                                  order_matrices, osc_dim, osc_dim_oracle,
+                                  project_system,
                                   projective_points, scan_report, standard_basis,
                                   subsheaf_witnesses)
 
@@ -303,3 +304,23 @@ def test_lifted_sections_equal_extension_h0(name, e, request, C7):
         assert ctx.sections.spec.curve is ref.spec.curve
         assert ctx.sections.coeffs == ref.coeffs
         assert ctx.sections.vectors == ref.vectors
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("name", ["estar", "esharp", "eflat"])
+def test_orbit_shared_orders_equal_direct_expansion(name, e, request, C7):
+    """Order matrices read from the first place of a Frobenius orbit equal
+    those expanded at the place itself; at e = 3 a map by sigma^-1 in place
+    of sigma would differ."""
+    E = request.getfixturevalue(name)
+    for M in (M0, Divisor({P31: 1, INFINITY: -1})):
+        ctx = ScanContext(E, M, ext_degree=e, k_max=2)
+        for place in ctx.places:
+            assert ctx.orders_at(place) == order_matrices(ctx.E, ctx.sections, place,
+                                                          ctx.k_max), place
+
+
+def test_scan_context_rejects_sections_on_another_curve(estar):
+    lifted = h0(dual_twist(estar.base_change(2), M0))
+    with pytest.raises(InputError):
+        ScanContext(estar, M0, ext_degree=2, sections=lifted)

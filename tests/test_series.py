@@ -47,6 +47,16 @@ def test_coefficient_window_and_precision_error():
         s.coeff(4)
 
 
+def test_window_past_the_precision_is_empty():
+    F = PrimeField(7)
+    s = LaurentSeries(F, 4, [1, 2, 3, 4, 5], 3)
+    assert s.coeffs == [] and s.val == s.prec == 3
+    with pytest.raises(PrecisionError):
+        s.valuation()
+    t = LaurentSeries(F, 1, [3, 4], 6).truncate(1)
+    assert t.coeffs == [] and t.val == t.prec == 1
+
+
 def test_mul_precision_rule():
     F = PrimeField(7)
     a = LaurentSeries(F, 1, [1, 1], 5)       # prec 5, val 1
