@@ -143,10 +143,16 @@ class BundleSpec:
     @classmethod
     def from_json(cls, curve, obj):
         K = curve.field
-        factors = [curve.divisor_from_json(f) for f in obj["factors"]]
+        factors, mods = obj["factors"], obj.get("modifications", [])
+        if not isinstance(factors, list) or not isinstance(mods, list):
+            raise InputError("bundle factors and modifications must be lists")
+        if not all(isinstance(m, dict) and isinstance(m.get("codirection"), list)
+                   for m in mods):
+            raise InputError("a modification is an object with a codirection list")
+        factors = [curve.divisor_from_json(f) for f in factors]
         mods = [Modification.simple(curve.place_from_json(m["point"]),
                                     [K.elt_from_json(v) for v in m["codirection"]])
-                for m in obj.get("modifications", [])]
+                for m in mods]
         return cls(curve, factors, mods).validate_presentation()
 
     def __repr__(self):

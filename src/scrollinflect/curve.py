@@ -347,8 +347,12 @@ class Curve:
         return [{"point": self.place_to_json(p), "mult": m} for p, m in D.items_sorted()]
 
     def divisor_from_json(self, obj):
+        if not isinstance(obj, list):
+            raise InputError(f"divisor {obj!r} is not a list of point records")
         D = Divisor()
         for rec in obj:
+            if not isinstance(rec, dict):
+                raise InputError(f"divisor record {rec!r} is not a JSON object")
             mult = rec["mult"]
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise InputError(f"divisor multiplicity {mult!r} is not an integer")

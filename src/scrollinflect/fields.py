@@ -379,10 +379,10 @@ def _poly_eval_mod(coeffs, x, p):
 
 def find_irreducible(p, degree):
     """Smallest monic irreducible of the given degree over F_p, by packed order."""
+    if not 1 <= degree <= _EXT_DEGREE_MAX:
+        raise InputError(f"degree {degree} outside supported range")
     if degree == 1:
         return [0, 1]
-    if degree > _EXT_DEGREE_MAX:
-        raise InputError(f"degree {degree} outside supported range")
     for packed in range(p ** degree):
         coeffs = []
         n = packed
@@ -395,16 +395,22 @@ def find_irreducible(p, degree):
     raise InputError("no irreducible found")  # unreachable for prime p
 
 
+def _json_int(value, what):
+    if type(value) is not int:
+        raise InputError(f"field {what} is not an integer: {value!r}")
+    return value
+
+
 def field_from_desc(desc):
     kind = desc.get("kind")
     if kind == "prime":
-        return PrimeField(int(desc["p"]))
+        return PrimeField(_json_int(desc["p"], "p"))
     if kind == "extension":
-        p, degree = int(desc["p"]), int(desc["degree"])
+        p, degree = _json_int(desc["p"], "p"), _json_int(desc["degree"], "degree")
         modulus = desc.get("modulus") or find_irreducible(p, degree)
-        if len(modulus) != degree + 1:
-            raise InputError("modulus length does not match stated degree")
-        return ExtensionField(p, [int(c) for c in modulus])
+        if not isinstance(modulus, list) or len(modulus) != degree + 1:
+            raise InputError("modulus is not a list of degree + 1 coefficients")
+        return ExtensionField(p, [_json_int(c, "modulus entry") for c in modulus])
     if kind == "rationals":
         return RationalField()
     raise InputError(f"unknown field kind {kind!r}")

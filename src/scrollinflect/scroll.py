@@ -26,6 +26,14 @@ osculating spans Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a
 ScanContext keeps one echelon accumulator per place, grown order by order
 (`flag`); every jet order, the centre-avoidance test of projections and
 the global generation check read prefixes of it.
+
+The subsheaf-witness side reads only h^0 and fibre values, never the jet
+flag.  Its level-k witness set W_k at p is the image of
+V_k = H^0(M^{-1}E((k+1)p)) in the fibre, and the exact sequence
+0 -> M^{-1}E(kp) -> M^{-1}E((k+1)p) -> fibre at p gives
+rank W_k = dim V_k - h^0(M^{-1}E(kp)); so witnesses of some level below k
+exist iff h^0(M^{-1}E(kp)) > h^0(M^{-1}E), one count in place of k
+witness sets (`_witness_cross_check`).
 """
 
 from __future__ import annotations
@@ -262,19 +270,20 @@ class WitnessSet:
     """Directions at a place reached by degree -(k+1) invertible subsheaves
     that embed as subbundles there."""
 
-    def __init__(self, place, k, span, directions):
+    def __init__(self, place, k, span, dimension):
         self.place = place
         self.k = k
         self.span = span            # EchelonAccumulator of the direction space
-        self.directions = directions
+        self.dimension = dimension  # dim H^0(M^{-1}E((k+1)p))
+
+    @property
+    def directions(self):
+        """Every projective direction of the span, enumerated on each read."""
+        return projective_points(self.span.field, self.span.rows)
 
     @property
     def is_empty(self):
         return self.span.rank == 0
-
-    @property
-    def is_whole_fiber(self):
-        return self.span.rank == self.span.ncols
 
     def contains(self, direction):
         K = self.span.field
@@ -284,16 +293,13 @@ class WitnessSet:
 def subsheaf_witnesses(E_spec, M, place, k):
     """The witness directions at the place: leading fibre vectors of maps
     O(-(k+1)p) -> M^{-1}E with a pole of order exactly k+1 at p."""
-    curve = E_spec.curve
-    K = curve.field
     if M.degree != 0:
         raise InputError("the twist class must have degree zero")
     V = h0(E_spec, M.neg().add(single(place, k + 1)))
-    acc = EchelonAccumulator(K, E_spec.rank)
+    acc = EchelonAccumulator(E_spec.curve.field, E_spec.rank)
     for lead in lead_vectors(E_spec, place, V.section_coeffs(place, 2)):
         acc.insert(lead)
-    directions = projective_points(K, acc.rows) if K.is_finite else []
-    return WitnessSet(place, k, acc, directions)
+    return WitnessSet(place, k, acc, V.dimension)
 
 
 # --------------------------------------------------------------------------
@@ -424,9 +430,10 @@ class ScanContext:
 
 
 class FiberDeficiency:
-    def __init__(self, place, mode, directions, fiber_size):
+    def __init__(self, place, mode, basis, directions, fiber_size):
         self.place = place
         self.mode = mode                 # 'all' or 'subspace'
+        self.basis = basis               # of the deficient directions
         self.directions = directions     # enumerated for 'subspace'
         self.fiber_size = fiber_size
 
@@ -509,12 +516,14 @@ def _classify(ctx, scans, threshold):
     directions only when it is drawn."""
     K = ctx.curve.field
     size = _fiber_size(K, ctx.E.rank)
+    whole = standard_basis(K, ctx.E.rank)
     for place in ctx.places:
         mode, basis = scans[place].deficient_classification(threshold)
         if mode == "all":
-            yield FiberDeficiency(place, "all", [], size)
+            yield FiberDeficiency(place, "all", whole, [], size)
         elif mode == "subspace":
-            yield FiberDeficiency(place, "subspace", projective_points(K, basis), size)
+            yield FiberDeficiency(place, "subspace", basis,
+                                  projective_points(K, basis), size)
 
 
 def scan_report(ctx, k, cross_check=True):
@@ -557,37 +566,27 @@ def _oracle_cross_check(ctx, k, scans):
 
 
 def _witness_cross_check(ctx, k, scans, subfull):
-    """Both directions of the parameter-space correspondence on this scan."""
-    witness_cache = {}
-
-    def witnesses(place, level):
-        key = (place, level)
-        if key not in witness_cache:
-            witness_cache[key] = subsheaf_witnesses(ctx.E, ctx.M, place, level)
-        return witness_cache[key]
-
-    # completeness: every subfull point has a witness at its level or below
+    """Both directions of the parameter-space correspondence, from one W_k
+    per place.  Soundness tests the echelon rows of W_k: the subfull
+    directions of a fibre span a subspace with 0.  Completeness asks that
+    W_k hold each subfull record, or else (exact sequence above) that
+    h0(M^{-1}E(kp)) exceed h0(M^{-1}E) and equal dim V_k - rank W_k; the
+    equality keeps faulty fibre values from passing as a lower witness."""
+    E, M = ctx.E, ctx.M
+    witnesses = {place: subsheaf_witnesses(E, M, place, k) for place in ctx.places}
+    for place, wk in witnesses.items():
+        if any(scans[place].rank_of(row) > k * E.rank for row in wk.span.rows):
+            return False
+    h_base = None
     for rec in subfull:
-        lower_hit = any(not witnesses(rec.place, ell).is_empty for ell in range(k))
-        if lower_hit:
+        wk = witnesses[rec.place]
+        if all(wk.contains(v) for v in rec.basis):
             continue
-        wk = witnesses(rec.place, k)
-        if rec.mode == "all":
-            if not wk.is_whole_fiber:
-                return False
-        else:
-            if not all(wk.contains(d) for d in rec.directions):
-                return False
-    # soundness: every witness direction at level k is a subfull point
-    for place in ctx.places:
-        wk = witnesses(place, k)
-        if wk.is_empty:
-            continue
-        ps = scans[place]
-        threshold = k * ctx.E.rank + 1
-        for d in wk.directions:
-            if ps.rank_of(d) >= threshold:
-                return False
+        if h_base is None:
+            h_base = h0(E, M.neg()).dimension
+        h_lower = h0(E, M.neg().add(single(rec.place, k))).dimension
+        if h_lower != wk.dimension - wk.span.rank or h_lower <= h_base:
+            return False
     return True
 
 

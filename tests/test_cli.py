@@ -7,6 +7,7 @@ import pytest
 
 import scrollinflect.cli as cli
 import scrollinflect.scroll as scroll
+from scrollinflect.linalg import EchelonAccumulator
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -156,12 +157,29 @@ def test_input_errors_exit_1(tmp_path, capsys):
         code, out = run_inproc(["segre", "--instance", str(INSTANCES / "estar.json")]
                                + flags, capsys)
         assert code == 1 and "parameter" in json.loads(out)["error"], flags
-    # malformed JSON shapes: a field, a curve coefficient, the whole file, a point
+    # malformed JSON shapes: a field and its integers, a curve coefficient,
+    # the whole file, a point, a divisor and its records, the factor and
+    # modification lists
+    prime, ext = {"kind": "prime"}, {"kind": "extension", "p": 7, "degree": 2}
     for message, edit in [
             ("field", lambda d: d.update(field=[7])),
+            ("p is not", lambda d: d.update(field=dict(prime, p="7"))),
+            ("p is not", lambda d: d.update(field=dict(prime, p=7.0))),
+            ("p is not", lambda d: d.update(field=dict(ext, p=True))),
+            ("degree is not", lambda d: d.update(field=dict(ext, degree="2"))),
+            ("degree -1", lambda d: d.update(field=dict(ext, degree=-1))),
+            ("modulus entry", lambda d: d.update(field=dict(ext, modulus=[3, "0", 1]))),
+            ("modulus is not", lambda d: d.update(field=dict(ext, modulus="301"))),
             ("[1, 2]", lambda d: d["curve"].update(a4=[1, 2])),
             ("JSON object", lambda d: [d]),
-            ("point", lambda d: d["bundle"]["factors"][1][1].update(point=["3"]))]:
+            ("point", lambda d: d["bundle"]["factors"][1][1].update(point=["3"])),
+            ("divisor 5", lambda d: d.update(M=5)),
+            ("divisor record 'O'", lambda d: d.update(M=["O"])),
+            ("divisor 5", lambda d: d["bundle"].update(factors=[5])),
+            ("must be lists", lambda d: d["bundle"].update(factors=5)),
+            ("codirection list",
+             lambda d: d["bundle"].update(modifications=[{"point": "O",
+                                                          "codirection": "11"}]))]:
         doc = json.loads((INSTANCES / "estar.json").read_text())
         bad.write_text(json.dumps(edit(doc) or doc))
         code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
@@ -197,6 +215,47 @@ def test_injected_oracle_fault_exits_2(command, monkeypatch, capsys):
     assert doc["kind"] == "invariant-violation"
     assert doc["error"].startswith("jet-rank and pole-counting osculating "
                                    "dimensions disagree")
+
+
+def _dropped_witnesses(real):
+    def dropped(E, M, place, k):
+        ws = real(E, M, place, k)
+        empty = EchelonAccumulator(ws.span.field, ws.span.ncols)
+        return scroll.WitnessSet(place, k, empty, ws.dimension)
+    return dropped
+
+
+def _filled_witnesses(real):
+    def filled(E, M, place, k):
+        ws = real(E, M, place, k)
+        K = ws.span.field
+        whole = EchelonAccumulator(K, ws.span.ncols)
+        for row in scroll.standard_basis(K, ws.span.ncols):
+            whole.insert(row)
+        return scroll.WitnessSet(place, k, whole, ws.dimension)
+    return filled
+
+
+@pytest.mark.parametrize("fault, name, k", [
+    (_dropped_witnesses, "eflat", 0), (_dropped_witnesses, "eflat", 1),
+    (_dropped_witnesses, "eflat", 2), (_dropped_witnesses, "esharp", 2),
+    (_dropped_witnesses, "estar", 2),
+    (_filled_witnesses, "esharp", 0), (_filled_witnesses, "esharp", 1),
+    (_filled_witnesses, "esharp", 2), (_filled_witnesses, "estar", 0),
+    (_filled_witnesses, "estar", 1), (_filled_witnesses, "estar", 2),
+    (_filled_witnesses, "eflat", 0), (_filled_witnesses, "eflat", 1)],
+    ids=lambda v: getattr(v, "__name__", str(v)).strip("_"))
+def test_injected_witness_fault_exits_2(fault, name, k, monkeypatch, capsys):
+    # dropping every witness direction breaks completeness (at eflat, k = 2,
+    # only the count h0(M^{-1}E(kp)) = dim V_k - rank W_k catches it);
+    # filling the whole fibre breaks soundness
+    monkeypatch.setattr(scroll, "subsheaf_witnesses", fault(scroll.subsheaf_witnesses))
+    code, out = run_inproc(["osc", "--instance", str(INSTANCES / f"{name}.json"),
+                            "--k", str(k), "--M", "all"], capsys)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["kind"] == "invariant-violation"
+    assert doc["error"].startswith("deficiency set and subsheaf witnesses disagree")
 
 
 def test_reports_reparse_under_schema(capsys):

@@ -18,6 +18,11 @@ sections in place of computing H^0 over the extension.
 ORBITS pins `verify mainA` and an all-twist scan over F_343, where most
 Frobenius orbits have three places; their hashes were recorded before
 scans expanded one place per orbit and ambient sections as b * (1/h).
+WITNESS pins all-twist scans to k = 2 over F_7 with the witness
+cross-check: on eflat 90 subfull fibres have their witness below level k,
+and esharp goes through the frame change at a modified place; their hashes
+were recorded before the cross-check read one witness set per place and
+settled lower levels by an h^0 count.
 """
 
 import hashlib
@@ -84,6 +89,13 @@ ORBITS = [
      "f9e48bac7738810ebdcb12f7ddbbe151fdc93e8cc7d360aee3a666c8de738d4f"),
 ]
 
+WITNESS = [
+    (["scan", "--instance", "eflat.json", "--k", "2", "--M", "all"],
+     "95e1d320a8847363c4f3038b26f543d13bd9747285ff593ce54ab884e03bbb98"),
+    (["scan", "--instance", "esharp.json", "--k", "2", "--M", "all"],
+     "a18a2c069a26799a0b2e94a12de18810d5186ced04981ae3134a63e5fd3071dd"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -125,4 +137,9 @@ def test_lifted_extension_output_is_pinned(argv, digest, capsys):
 
 @pytest.mark.parametrize("argv, digest", ORBITS, ids=["mainA-estar-ext3", "scan-estar-ext3"])
 def test_orbit_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", WITNESS, ids=["scan-eflat", "scan-esharp"])
+def test_witness_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest

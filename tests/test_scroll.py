@@ -113,6 +113,20 @@ def test_witness_examples(eflat, estar, C7):
             assert subsheaf_witnesses(estar, M, place, 1).is_empty
 
 
+@pytest.mark.parametrize("name", ["eflat", "esharp", "estar"])
+def test_witness_rank_fits_the_exact_sequence(name, C7, request):
+    # 0 -> M^{-1}E(kp) -> M^{-1}E((k+1)p) -> fibre at p: W_k is the image
+    E = request.getfixturevalue(name)
+    for M in C7.pic0_representatives()[:3]:
+        for place in C7.points():
+            for k in range(3):
+                upper = h0(E, M.neg().add(single(place, k + 1))).dimension
+                lower = h0(E, M.neg().add(single(place, k))).dimension
+                w = subsheaf_witnesses(E, M, place, k)
+                assert w.dimension == upper
+                assert upper - w.span.rank == lower, (M, place, k)
+
+
 def test_scan_examples(eflat, estar, C7):
     rep = infl_scan(eflat, M0, 0)
     pts = rep.to_json()["deficient_points"]
