@@ -14,7 +14,7 @@ import json
 import sys
 
 from .bundle import BundleSpec, dual_twist, h0
-from .curve import Curve, Divisor
+from .curve import Curve
 from .errors import (DomainError, InputError, InvariantViolation, PrecisionError,
                      Unsupported)
 from .fields import field_from_desc
@@ -33,11 +33,12 @@ class Instance:
             raise InputError("an instance file must hold a JSON object")
         self.field = field_from_desc(_json_object(obj, "field"))
         cdesc = _json_object(obj, "curve")
-        a4 = self.field.elt_from_json(cdesc["a4"])
-        a6 = self.field.elt_from_json(cdesc["a6"])
+        a4 = self.field.elt_from_json(_required(cdesc, "a4", "curve"))
+        a6 = self.field.elt_from_json(_required(cdesc, "a6", "curve"))
         self.curve = Curve(self.field, a4, a6)
         self.bundle = BundleSpec.from_json(self.curve, _json_object(obj, "bundle"))
         self.M_selector = obj.get("M", [])
+        self.twists = None
         params = obj.get("parameters") or {}
         if not isinstance(params, dict):
             raise InputError("parameters must be an object")
@@ -58,23 +59,31 @@ class Instance:
         if not 1 <= self.ext_degree <= 3:
             raise InputError("parameter ext_degree must be 1, 2 or 3")
 
-    def twists(self):
-        """The selected degree-0 classes: one divisor, or all of Pic^0."""
+    def check_twists(self):
+        """Set twists to the selected degree-0 classes: all of Pic^0 for
+        "all", else the one divisor the selector lists ([] is the trivial
+        class).  Any other selector, or a divisor of nonzero degree, is an
+        input error."""
         sel = self.M_selector
         if sel == "all":
             if not self.field.is_finite:
                 raise InputError("'all' twists need a finite field")
-            return self.curve.pic0_representatives()
-        if not sel:
-            return [Divisor()]
+            self.twists = self.curve.pic0_representatives()
+            return
         D = self.curve.divisor_from_json(sel)
         if D.degree != 0:
             raise InputError("twist class must have degree zero")
-        return [D]
+        self.twists = [D]
+
+
+def _required(obj, key, where="the instance"):
+    if key not in obj:
+        raise InputError(f"{where} has no {key!r} key")
+    return obj[key]
 
 
 def _json_object(obj, key):
-    value = obj[key]
+    value = _required(obj, key)
     if not isinstance(value, dict):
         raise InputError(f"{key} must be a JSON object")
     return value
@@ -95,6 +104,7 @@ def load_instance(path, overrides):
     if overrides.M is not None:
         inst.M_selector = "all" if overrides.M == "all" else json.loads(overrides.M)
     inst.check_parameters()
+    inst.check_twists()
     return inst
 
 
@@ -119,7 +129,7 @@ def cmd_curve_info(inst, args):
 
 def cmd_sections(inst, args):
     reports = []
-    for M in inst.twists():
+    for M in inst.twists:
         V = h0(dual_twist(inst.bundle, M))
         rec = V.to_json()
         rec["M"] = inst.curve.divisor_to_json(M)
@@ -145,13 +155,13 @@ def _checked_report(ctx, k):
 def cmd_osc(inst, args):
     reports = [_checked_report(ScanContext(inst.bundle, M, ext_degree=inst.ext_degree,
                                            k_max=inst.k), inst.k)
-               for M in inst.twists()]
+               for M in inst.twists]
     return {"command": "osc", "k": inst.k, "reports": reports}
 
 
 def cmd_scan(inst, args):
     out = []
-    for M in inst.twists():
+    for M in inst.twists:
         ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree, k_max=inst.k)
         out.extend(_checked_report(ctx, k) for k in range(inst.k + 1))
     return {"command": "scan", "reports": out}
@@ -161,7 +171,7 @@ def cmd_witnesses(inst, args):
     E = inst.bundle.base_change(inst.ext_degree)
     big = E.curve
     out = []
-    for M in inst.twists():
+    for M in inst.twists:
         recs = []
         for place in big.points():
             ws = subsheaf_witnesses(E, M, place, inst.k)
@@ -179,7 +189,7 @@ def cmd_project(inst, args):
     if inst.m is None:
         raise InputError("project needs --m (the projected dimension m + 1)")
     out = []
-    for M in inst.twists():
+    for M in inst.twists:
         V = h0(dual_twist(inst.bundle, M))
         W = project_system(V, inst.m, inst.seed)
         ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree,
@@ -247,7 +257,7 @@ def cmd_verify(inst, args):
     elif name == "appendixA":
         if inst.m is None:
             raise InputError("verify appendixA needs --m")
-        M = inst.twists()[0]
+        M = inst.twists[0]
         seeds = range(inst.seed, inst.seed + args.seeds)
         rep = verify_projection(inst.bundle, M, inst.m, seeds,
                                 ext_degree=inst.ext_degree)

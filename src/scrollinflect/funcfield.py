@@ -6,6 +6,10 @@ denominators stay y-free (inverses are rationalised through the norm).
 On top of the representation this module provides local expansions at a
 place, divisor-prescribed function construction by chord/vertical-line
 accumulation, and Riemann-Roch bases.
+
+Orders are exact polynomial algebra, read off degrees at O and off root
+multiplicities of the polynomials and of the norm at an affine place
+(_order).  They size each local expansion, so it takes one pass.
 """
 
 from __future__ import annotations
@@ -162,13 +166,9 @@ class FunctionRep:
         return self.sub(other).is_zero()
 
     # -- arithmetic -------------------------------------------------------------
-    def _cubic(self):
-        K = self.curve.field
-        return [self.curve.a6, self.curve.a4, K.zero, K.one]
-
     def mul(self, other):
         K = self.curve.field
-        c = self._cubic()
+        c = _cubic(self.curve)
         n0 = padd(K, pmul(K, self.n0, other.n0),
                   pmul(K, pmul(K, self.n1, other.n1), c))
         n1 = padd(K, pmul(K, self.n0, other.n1), pmul(K, self.n1, other.n0))
@@ -179,10 +179,9 @@ class FunctionRep:
             raise ZeroDivisionError("inverse of the zero function")
         K = self.curve.field
         # 1/(n0 + n1 y) = (n0 - n1 y)/(n0^2 - n1^2 (x^3 + a4 x + a6))
-        norm = psub(K, pmul(K, self.n0, self.n0),
-                    pmul(K, pmul(K, self.n1, self.n1), self._cubic()))
         return FunctionRep(self.curve, pmul(K, self.d0, self.n0),
-                           pneg(K, pmul(K, self.d0, self.n1)), norm)
+                           pneg(K, pmul(K, self.d0, self.n1)),
+                           _norm(self.curve, self.n0, self.n1))
 
     def div(self, other):
         return self.mul(other.inverse())
@@ -222,81 +221,55 @@ class FunctionRep:
         n = K.add(peval(K, self.n0, place.x), K.mul(peval(K, self.n1, place.x), place.y))
         return K.div(n, d)
 
-    def _pole_bound(self):
-        deg = max((len(self.n0) - 1) * 2, (len(self.n1) - 1) * 2 + 3 if self.n1 else 0,
-                  (len(self.d0) - 1) * 2, 0)
-        return deg + 3
+    def local_expansion(self, place, precision):
+        """Expansion in the canonical uniformiser, correct modulo t^precision.
 
-    def _halves(self, place, work_prec):
-        K = self.curve.field
-        maxdeg = max(len(self.n0), len(self.n1), len(self.d0))
-        pad = 2 * maxdeg + 8 if place.is_infinity else 4
-        xs, ys = self.curve.param_series(place, work_prec + pad)
+        One pass, sized by the exact orders vn of the numerator, vd of d0 and
+        v = vn - vd.  Series products and inverses keep the smaller relative
+        precision (prec - val), so with x(t), y(t) known mod t^P:
+          * at an affine place x(t), y(t) have val >= 0, both halves are known
+            mod t^P, and the quotient mod t^(v + P - max(vn, vd));
+          * at O, x(t) = t^-2 (...) and y(t) = t^-3 (...) have relative
+            precision P + 2 and P + 3, Horner's rule keeps P + 2 for both
+            halves, and the quotient is known mod t^(v + P + 2).
+        So P = precision - v + max(vn, vd), or precision - v - 2 at O, and at
+        least 1.  A result short of that, or with valuation other than v, is
+        an InvariantViolation.
+        """
+        if self.is_zero():
+            raise DomainError("cannot expand the zero function")
+        curve = self.curve
+        curve.check_place(place)
+        vn = _order(curve, self.n0, self.n1, place)
+        vd = _order(curve, self.d0, [], place)
+        v = vn - vd
+        rel = -2 if place.is_infinity else max(vn, vd)
+        # one param_series call per expansion, even the one that raises below,
+        # keeps that call count equal to the expansion count
+        xs, ys = curve.param_series(place, max(precision - v + rel, 1))
+        if v >= precision:
+            raise PrecisionError(
+                f"requested precision {precision} does not exceed "
+                f"the valuation {v} of the function")
+        K = curve.field
         num = peval_series(K, self.n0, xs)
         if self.n1:
             num = num.add(peval_series(K, self.n1, xs).mul(ys))
-        den = peval_series(K, self.d0, xs)
-        return num, den
-
-    def local_expansion(self, place, precision):
-        """Expansion in the canonical uniformiser, correct modulo t^precision."""
-        if self.is_zero():
-            raise DomainError("cannot expand the zero function")
-        self.curve.check_place(place)
-        bound = self._pole_bound() + max(precision, 0) + 8
-        # _halves pads the parametrisation already; the first pass adds what
-        # inverting the denominator costs, and more slack is only added when
-        # the tracked precision still comes out short
-        slack = self._denominator_slack(place, precision)
-        while True:
-            num, den = self._halves(place, precision + slack)
-            if num.coeffs and den.coeffs:
-                res = num.mul(den.invert())
-                if res.prec >= precision:
-                    res = res.truncate(precision)
-                    if not res.coeffs:
-                        # precision tracking is rigorous, so an empty window at
-                        # full precision means ord(f) >= precision
-                        raise PrecisionError(
-                            f"requested precision {precision} does not exceed "
-                            "the valuation of the function")
-                    return res
-            slack = 2 * slack or 8
-            if slack > 8 * bound + 256:
-                raise InvariantViolation(
-                    "expansion failed to stabilise within the vanishing bound")
-
-    def _denominator_slack(self, place, precision):
-        """Working precision that 1/d0 needs beyond the pad of _halves.
-
-        At an affine place d0(x(t)) starts at t^v, v the multiplicity of x0
-        as a root of d0 (doubled where t = y): t^v must be visible mod t^N,
-        and inverting it costs 2v orders; the affine pad covers 4 of them.
-        """
-        if place.is_infinity:
-            return 0
-        K = self.curve.field
-        d, mult = self.d0, 0
-        while len(d) > 1 and peval(K, d, place.x) == K.zero:
-            d = pdivmod(K, d, [K.neg(place.x), K.one])[0]
-            mult += 1
-        v = 2 * mult if place.y == K.zero else mult
-        return max(0, 2 * v - 4, v - 3 - precision)
+        res = num.mul(peval_series(K, self.d0, xs).invert())
+        if res.prec < precision or res.val != v:
+            raise InvariantViolation(
+                f"expansion at {place!r} has valuation {res.val} mod "
+                f"t^{res.prec}; the order is {v} and {precision} was asked for")
+        return res.truncate(precision)
 
     def ord_at(self, place):
-        """Order of vanishing (negative for a pole) at the place."""
+        """Order of vanishing (negative for a pole) at the place: the order
+        of the numerator minus that of d0, each exact (see _order)."""
         if self.is_zero():
             raise DomainError("the zero function has no order")
         self.curve.check_place(place)
-        slack = 8
-        bound = self._pole_bound()
-        while True:
-            num, den = self._halves(place, slack)
-            if num.coeffs and den.coeffs:
-                return num.valuation() - den.valuation()
-            slack *= 2
-            if slack > 4 * bound + 64:
-                raise InvariantViolation("nonzero polynomial expanded to zero")
+        return (_order(self.curve, self.n0, self.n1, place)
+                - _order(self.curve, self.d0, [], place))
 
     # -- io ---------------------------------------------------------------------
     def to_str(self):
@@ -327,6 +300,49 @@ def _term_str(K, c, i, suffix):
     if body and cs == "1":
         return body
     return f"{cs}*{body}" if body else f"{cs}"
+
+
+def _cubic(curve):
+    return [curve.a6, curve.a4, curve.field.zero, curve.field.one]
+
+
+def _norm(curve, n0, n1):
+    """n0^2 - n1^2 (x^3 + a4 x + a6): (n0 + n1 y) times its conjugate."""
+    K = curve.field
+    return psub(K, pmul(K, n0, n0), pmul(K, pmul(K, n1, n1), _cubic(curve)))
+
+
+def _root_mult(K, polys, x0):
+    """(m, quotients): the largest m with (x - x0)^m dividing every one of
+    polys (not all zero), and each divided by (x - x0)^m."""
+    root, m = [K.neg(x0), K.one], 0
+    while all(peval(K, a, x0) == K.zero for a in polys):
+        polys = [pdivmod(K, a, root)[0] for a in polys]
+        m += 1
+    return m, polys
+
+
+def _order(curve, n0, n1, place):
+    """Order at the place of g = n0(x) + n1(x) y, not both zero.
+
+    At O the terms have pole orders 2 deg n0 and 2 deg n1 + 3, of different
+    parity, so the larger wins.  At P = (x0, y0) each common (x - x0) factor
+    of n0 and n1 adds ord_P(x - x0): 2 where y0 = 0, else 1.  If what is left
+    vanishes at P, add the root multiplicity of x0 in its norm N = g(P) g(-P),
+    for ord_P N = ord_P g + ord_{-P} g equals:
+      * ord_P g where y0 != 0, since g(-P) = 2 n0(x0) != 0 (n0(x0) = 0
+        would force n1(x0) = 0, and that factor is gone);
+      * 2 ord_P g where y0 = 0, since then P = -P, and ord_P(x - x0) = 2.
+    """
+    K = curve.field
+    if place.is_infinity:
+        return -max(2 * len(n0) - 2 if n0 else -1, 2 * len(n1) + 1 if n1 else -1)
+    x0, y0 = place.x, place.y
+    common, (n0, n1) = _root_mult(K, [n0, n1], x0)
+    order = common * (2 if y0 == K.zero else 1)
+    if K.add(peval(K, n0, x0), K.mul(peval(K, n1, x0), y0)) == K.zero:
+        order += _root_mult(K, [_norm(curve, n0, n1)], x0)[0]
+    return order
 
 
 # --------------------------------------------------------------------------

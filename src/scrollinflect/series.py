@@ -51,24 +51,6 @@ class LaurentSeries:
     def uniformiser(cls, field, prec):
         return cls(field, 1, [field.one], prec)
 
-    # -- queries -----------------------------------------------------------
-    def is_zero(self):
-        """True when no nonzero coefficient is visible at this precision."""
-        return not self.coeffs
-
-    def coeff(self, j):
-        if j >= self.prec:
-            raise PrecisionError(f"coefficient t^{j} beyond precision {self.prec}")
-        idx = j - self.val
-        if idx < 0 or idx >= len(self.coeffs):
-            return self.field.zero
-        return self.coeffs[idx]
-
-    def valuation(self):
-        if not self.coeffs:
-            raise PrecisionError(f"series is 0 mod t^{self.prec}; valuation unknown")
-        return self.val
-
     # -- arithmetic ----------------------------------------------------------
     def add(self, other):
         K = self.field
@@ -119,10 +101,6 @@ class LaurentSeries:
             return LaurentSeries.zero(K, self.prec)
         return LaurentSeries(K, self.val, [K.mul(c, v) for v in self.coeffs], self.prec)
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        return LaurentSeries(self.field, self.val + k, self.coeffs, self.prec + k)
-
     def invert(self):
         K = self.field
         if not self.coeffs:
@@ -142,11 +120,6 @@ class LaurentSeries:
 
     def truncate(self, n):
         return LaurentSeries(self.field, self.val, self.coeffs, min(self.prec, n))
-
-    def agrees_with(self, other):
-        """Equality on the shared precision window."""
-        prec = min(self.prec, other.prec)
-        return self.truncate(prec).sub(other.truncate(prec)).is_zero()
 
     def __repr__(self):
         K = self.field

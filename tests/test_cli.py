@@ -184,6 +184,35 @@ def test_input_errors_exit_1(tmp_path, capsys):
         bad.write_text(json.dumps(edit(doc) or doc))
         code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
         assert code == 1 and message in json.loads(out)["error"], message
+    # a missing key is named, not reported as a KeyError
+    for message, edit in [("no 'field' key", lambda d: d.pop("field")),
+                          ("no 'curve' key", lambda d: d.pop("curve")),
+                          ("no 'bundle' key", lambda d: d.pop("bundle")),
+                          ("no 'a4' key", lambda d: d["curve"].pop("a4")),
+                          ("no 'a6' key", lambda d: d["curve"].pop("a6"))]:
+        doc = json.loads((INSTANCES / "estar.json").read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
+        assert code == 1 and message in json.loads(out)["error"], message
+    # the twist selector: only "all", [] or a degree-0 divisor list, checked
+    # for every command (segre does not read it, but a bad one is an error)
+    for selector in (0, {}, "", False, None, "some"):
+        doc = dict(json.loads((INSTANCES / "estar.json").read_text()), M=selector)
+        bad.write_text(json.dumps(doc))
+        for command in ("osc", "segre"):
+            code, out = run_inproc([command, "--instance", str(bad)], capsys)
+            assert code == 1 and "not a list" in json.loads(out)["error"], selector
+    degree_one = json.dumps([{"point": "O", "mult": 1}])
+    for command in ("osc", "segre", "curve-info"):
+        code, out = run_inproc([command, "--instance", str(INSTANCES / "estar.json"),
+                                "--M", degree_one], capsys)
+        assert code == 1 and "degree zero" in json.loads(out)["error"], command
+    doc = json.loads((INSTANCES / "estar.json").read_text())
+    del doc["M"]                              # a missing selector is the trivial class
+    bad.write_text(json.dumps(doc))
+    code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
+    assert code == 0 and [rec["M"] for rec in json.loads(out)["reports"]] == [[]]
 
 
 def test_byte_determinism_across_processes():

@@ -1,13 +1,16 @@
+import random
 from itertools import product
 
 import pytest
 
 from scrollinflect.bundle import normalized_series
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
-from scrollinflect.errors import DomainError, InputError, PrecisionError
+from scrollinflect.errors import (DomainError, InputError, InvariantViolation,
+                                  PrecisionError)
 from scrollinflect.fields import PrimeField
-from scrollinflect.funcfield import (FunctionRep, principal_function, rr_basis,
-                                     vertical_line)
+from scrollinflect.funcfield import (FunctionRep, chord_line, peval_series, pmul,
+                                     principal_function, rr_basis, vertical_line)
+from scrollinflect.series import LaurentSeries
 
 
 def brute_point_count(p, a4, a6):
@@ -146,15 +149,15 @@ def test_rr_basis_respects_divisor_bound(C7, rng):
 def test_local_expansion_valuations(C7):
     x = FunctionRep.coordinate_x(C7)
     y = FunctionRep.coordinate_y(C7)
-    assert x.local_expansion(INFINITY, 2).valuation() == -2
-    assert y.local_expansion(INFINITY, 2).valuation() == -3
+    assert x.local_expansion(INFINITY, 2).val == -2
+    assert y.local_expansion(INFINITY, 2).val == -3
     v = vertical_line(C7, Place(3, 1))
-    assert v.local_expansion(Place(3, 1), 3).valuation() == 1
+    assert v.local_expansion(Place(3, 1), 3).val == 1
     # ramified place: (6, 0) is not on this curve; use a 2-torsion point of C11
     # y^2 = x^3 + 4 mod 11 has (6, 0): 216 + 4 = 220 = 0 mod 11
     C11 = Curve(PrimeField(11), 0, 4)
     w = vertical_line(C11, Place(6, 0))
-    assert w.local_expansion(Place(6, 0), 4).valuation() == 2
+    assert w.local_expansion(Place(6, 0), 4).val == 2
 
 
 def test_local_expansion_precision_error(C7):
@@ -167,9 +170,148 @@ def test_expansion_vanishing_past_the_precision_raises(C7):
     # vanishes to order 4 at O: no coefficient is visible modulo t^3
     B = C7.base_change(2)
     f = FunctionRep(B, [5, 6, 1], [4], [0, 4, 4, 3, 1])
-    assert f.local_expansion(INFINITY, 5).valuation() == 4
+    assert f.local_expansion(INFINITY, 5).val == 4
     with pytest.raises(PrecisionError):
         f.local_expansion(INFINITY, 3)
+
+
+# An expansion at one oversized precision, built straight from param_series,
+# is the reference for ord_at and for local_expansion at every precision.
+REFERENCE_PREC = 32
+
+
+def reference_expansion(f, place):
+    K = f.curve.field
+    xs, ys = f.curve.param_series(place, REFERENCE_PREC)
+    num = peval_series(K, f.n0, xs)
+    if f.n1:
+        num = num.add(peval_series(K, f.n1, xs).mul(ys))
+    ref = num.mul(peval_series(K, f.d0, xs).invert())
+    # a nonempty window is the exact order; the one-pass test reads t^0..t^11
+    assert ref.coeffs and ref.prec >= 12
+    return ref
+
+
+def _power(K, root, n):
+    out = [K.one]
+    for _ in range(n):
+        out = pmul(K, out, root)
+    return out
+
+
+def order_test_functions(curve, place, affine, rng, n_random=4):
+    """Functions whose order at the place is hard to read off a short
+    expansion: random ones, numerators with common (x - x0) factors,
+    squared chord lines through affine points (zero at P, not at -P), and
+    denominators with a double root at x0."""
+    K = curve.field
+
+    def elt():
+        return rng.randrange(K.order) if K.is_finite else K.from_int(rng.randint(-3, 3))
+
+    def poly(deg):
+        return [elt() for _ in range(deg + 1)]
+
+    out = [FunctionRep(curve, poly(rng.randint(0, 3)), poly(rng.randint(-1, 2)),
+                       poly(rng.randint(0, 3)) + [K.one])
+           for _ in range(n_random)]
+    if not place.is_infinity:
+        root = [K.neg(place.x), K.one]
+        root2 = FunctionRep(curve, _power(K, root, 2), [], [K.one])
+        for a, b in [(1, 0), (1, 1), (2, 1), (0, 2)]:
+            out.append(FunctionRep(curve, pmul(K, _power(K, root, a), poly(1)),
+                                   pmul(K, _power(K, root, b), poly(1)),
+                                   poly(1) + [K.one]))
+        chords = [Q for Q in affine if Q.x != place.x][:2]
+        if place.y != K.zero:
+            chords.append(place)             # the tangent line
+        for Q in chords:
+            square = chord_line(curve, place, Q)
+            square = square.mul(square)
+            out += [square, square.div(root2)]
+        double = pmul(K, _power(K, root, 2), poly(1) + [K.one])
+        out += [FunctionRep(curve, poly(2), poly(1), double),
+                FunctionRep(curve, root, [K.one], double)]
+    return [f for f in out if not f.is_zero()]
+
+
+def order_test_places(C7, C11, CQ, QQ):
+    """(curve, place, affine points of the curve) for every place of C7, C11
+    and C7 over F_49, and the rational 2-torsion of CQ."""
+    out = []
+    for curve in (C7, C11, C7.base_change(2)):
+        affine = curve.points()[1:]
+        out += [(curve, p, affine) for p in curve.points()]
+    rationals = [Place(QQ.from_int(x), QQ.from_int(0)) for x in (-1, 0, 1)]
+    return out + [(CQ, p, rationals) for p in rationals]
+
+
+def test_ord_at_is_exact(C7, C11, CQ, QQ):
+    """ord_at, read off the polynomials by the norm argument, equals the
+    valuation of the oversized reference expansion at every place of C7,
+    C11 (with 2-torsion) and C7 over F_49, and at the 2-torsion of CQ."""
+    rng = random.Random(7)
+    pairs = 0
+    for curve, place, affine in order_test_places(C7, C11, CQ, QQ):
+        for f in order_test_functions(curve, place, affine, rng):
+            assert f.ord_at(place) == reference_expansion(f, place).val, (f, place)
+            pairs += 1
+    assert pairs > 1000
+
+
+def test_local_expansion_is_one_pass(C7, C11, CQ, QQ, monkeypatch):
+    """At every precision from -4 to 12, local_expansion equals the
+    truncated reference, raises PrecisionError exactly when the order
+    reaches the precision, and calls param_series exactly once."""
+    rng = random.Random(11)
+    calls = []
+    param_series = Curve.param_series
+
+    def counted(curve, place, prec):
+        calls.append(prec)
+        return param_series(curve, place, prec)
+
+    monkeypatch.setattr(Curve, "param_series", counted)
+    expansions = raised = 0
+    for curve, place, affine in order_test_places(C7, C11, CQ, QQ)[::3]:
+        for f in order_test_functions(curve, place, affine, rng, n_random=2):
+            ref = reference_expansion(f, place)
+            for precision in range(-4, 13):
+                del calls[:]
+                expansions += 1
+                if ref.val >= precision:
+                    with pytest.raises(PrecisionError):
+                        f.local_expansion(place, precision)
+                    raised += 1
+                else:
+                    got = f.local_expansion(place, precision)
+                    want = ref.truncate(precision)
+                    assert (got.val, got.coeffs, got.prec) == \
+                        (want.val, want.coeffs, precision), (f, place, precision)
+                assert len(calls) == 1
+    assert 0 < raised < expansions
+
+
+def test_local_expansion_checks_the_series_against_the_order(C7, monkeypatch):
+    """A param_series that comes out short, or that moves the valuation,
+    is a fault of the expansion, not a reason to retry."""
+    P = Place(3, 1)
+    v = vertical_line(C7, P)
+    assert v.local_expansion(P, 4).coeffs == [1]
+    param_series = Curve.param_series
+
+    def short(curve, place, prec):
+        xs, ys = param_series(curve, place, prec)
+        return xs.truncate(prec - 1), ys.truncate(prec - 1)
+
+    def shifted(curve, place, prec):
+        xs, ys = param_series(curve, place, prec)
+        return xs.add(LaurentSeries.constant(curve.field, 1, xs.prec)), ys
+
+    for fake in (short, shifted):
+        monkeypatch.setattr(Curve, "param_series", fake)
+        with pytest.raises(InvariantViolation):
+            v.local_expansion(P, 4)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -226,7 +368,10 @@ def test_expansion_multiplicativity_random(C7, rng):
         ef = f.local_expansion(place, 4)
         eg = g.local_expansion(place, 4)
         efg = f.mul(g).local_expansion(place, 4)
-        assert efg.agrees_with(ef.mul(eg))
+        prod = ef.mul(eg)
+        n = min(efg.prec, prod.prec)         # compare on the shared window
+        efg, prod = efg.truncate(n), prod.truncate(n)
+        assert (efg.val, efg.coeffs) == (prod.val, prod.coeffs)
 
 
 def test_curve_base_change_preserves_points(C7):
