@@ -19,8 +19,10 @@ place, at the largest precision asked for, and kept as plain lists of
 field elements.  Those tables are built in the factored form rr_basis
 returns: every function of a factor's basis is b * (1/h) with b a
 monomial x^i, x^i y or the simple-pole function, so 1/h is expanded once
-per (factor, place), each b comes from one expansion kept per curve and
-place, and each row is their truncated product.  Every section's
+per (divisor, place) and each b once per place, both kept on the curve
+(funcfield's Riemann-Roch memo), and each row is their truncated
+product.  The products b * (1/h) themselves are formed only where
+functions are read (`SectionBasis.vectors`).  Every section's
 components are exact linear combinations of those lists
 (`section_coeffs`), and the fibre scans read them in that form, with no
 series object built; subsystems (random or adversarial projections)
@@ -298,7 +300,9 @@ def normalized_series(f, place, shift, prec):
 class AmbientBasis:
     """The (slot, f) pairs with f running through a Riemann-Roch basis of
     L(D_slot + twist), for each factor D_slot of a bundle; `bases` holds
-    those bases, one per slot, in the factored form rr_basis returns.
+    those bases, one per slot, in the factored form rr_basis returns, and
+    `slots` the slot of each pair.  The functions f are formed only when
+    `pairs` is read; the tables and h0 need only the slots.
 
     Normalized expansions are computed once per place, at the largest
     precision asked for so far, and truncated for smaller requests: the
@@ -314,9 +318,14 @@ class AmbientBasis:
         self.factors = factors
         self.twist = twist
         self.bases = bases
-        self.pairs = [(slot, f) for slot, basis in enumerate(bases) for f in basis]
+        self.slots = [slot for slot, basis in enumerate(bases) for _ in range(len(basis))]
         self._tables = {}          # place -> (prec, one coefficient list per pair)
         self._base_changes = {}    # e -> the same pairs over F_{q^e}
+
+    @property
+    def pairs(self):
+        """The (slot, f) pairs; reading them forms each product b * (1/h)."""
+        return [(slot, f) for slot, basis in enumerate(self.bases) for f in basis]
 
     def shift(self, slot, place):
         return self.twist.mult(place) + self.factors[slot].mult(place)
@@ -366,10 +375,11 @@ class SectionBasis:
         if self._vectors is None:
             K = self.spec.curve.field
             zero = FunctionRep.zero(self.spec.curve)
+            pairs = self.ambient.pairs
             self._vectors = []
             for row in self.coeffs:
                 vec = [zero] * self.spec.rank
-                for c, (slot, f) in zip(row, self.ambient.pairs):
+                for c, (slot, f) in zip(row, pairs):
                     if c != K.zero:
                         vec[slot] = vec[slot].add(f.scalar_mul(c))
                 self._vectors.append(tuple(vec))
@@ -394,7 +404,7 @@ class SectionBasis:
         out = []
         for row in self.coeffs:
             comps = [[zero] * prec for _ in range(self.spec.rank)]
-            for c, (slot, _), coeffs in zip(row, self.ambient.pairs, table):
+            for c, slot, coeffs in zip(row, self.ambient.slots, table):
                 if c == zero:
                     continue
                 acc = comps[slot]
@@ -439,14 +449,14 @@ def h0(spec, twist=None):
         twist = Divisor()
     ambient = AmbientBasis(curve, spec.factors, twist,
                            [rr_basis(curve, factor.add(twist)) for factor in spec.factors])
-    pairs = ambient.pairs
-    if not pairs:
+    slots = ambient.slots
+    if not slots:
         return SectionBasis(spec, ambient, [])
     rows = []
     for mod in spec.modifications:
         table = ambient.table(mod.place, mod.max_order + 1)
         row = []
-        for (slot, _), coeffs in zip(pairs, table):
+        for slot, coeffs in zip(slots, table):
             acc = K.zero
             for order, cov in mod.terms:
                 if cov[slot] != K.zero:
@@ -456,8 +466,8 @@ def h0(spec, twist=None):
     if rows:
         _, kernel = mat_rank_kernel(ExactMatrix.from_rows(K, rows))
     else:
-        kernel = [[K.one if j == i else K.zero for j in range(len(pairs))]
-                  for i in range(len(pairs))]
+        kernel = [[K.one if j == i else K.zero for j in range(len(slots))]
+                  for i in range(len(slots))]
     return SectionBasis(spec, ambient, kernel)
 
 

@@ -89,6 +89,21 @@ def _json_object(obj, key):
     return value
 
 
+def _twist_flag(text):
+    """The --M value: "all", or JSON for a list of point records (checked
+    as a divisor by Instance.check_twists).  Anything else is an input
+    error that names the flag and its value."""
+    if text == "all":
+        return text
+    try:
+        sel = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"--M {text!r} is not JSON: {e}") from None
+    if not isinstance(sel, list) and sel != "all":
+        raise InputError(f"--M {text!r} is neither \"all\" nor a list of point records")
+    return sel
+
+
 def load_instance(path, overrides):
     with open(path) as fh:
         obj = json.load(fh)
@@ -102,7 +117,7 @@ def load_instance(path, overrides):
     if overrides.m is not None:
         inst.m = overrides.m
     if overrides.M is not None:
-        inst.M_selector = "all" if overrides.M == "all" else json.loads(overrides.M)
+        inst.M_selector = _twist_flag(overrides.M)
     inst.check_parameters()
     inst.check_twists()
     return inst

@@ -82,6 +82,12 @@ class Divisor:
     def scale(self, n):
         return Divisor({p: n * m for p, m in self.support.items()}) if n else Divisor()
 
+    def key(self):
+        """The support as a frozenset of (place, mult) pairs: equal divisors
+        have equal keys.  The divisor itself is mutable (add_place), so it
+        is not hashable; memos and caches key on this instead."""
+        return frozenset(self.support.items())
+
     def items_sorted(self):
         return sorted(self.support.items(), key=lambda pm: _place_key(pm[0]))
 
@@ -130,7 +136,11 @@ class Curve:
         self.a6 = a6
         self.discriminant = disc
         self._param_cache = {}
-        self._monomial_expansions = {}   # funcfield: (place, key) -> (prec, series)
+        # funcfield's Riemann-Roch memo; it holds plain data only, nothing
+        # that refers back to this curve, so the curve has no reference cycle
+        self._monomial_expansions = {}   # (place, key) -> (prec, series)
+        self._principal_functions = {}   # divisor key -> (n0, n1, d0)
+        self._rr_bases = {}              # divisor key -> funcfield._RRData
         self._base_changes = {}
         self._points = None
         if field.is_finite:
@@ -353,6 +363,9 @@ class Curve:
         for rec in obj:
             if not isinstance(rec, dict):
                 raise InputError(f"divisor record {rec!r} is not a JSON object")
+            for key in ("point", "mult"):
+                if key not in rec:
+                    raise InputError(f"divisor record {rec!r} has no {key!r} key")
             mult = rec["mult"]
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise InputError(f"divisor multiplicity {mult!r} is not an integer")

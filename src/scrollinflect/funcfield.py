@@ -10,11 +10,24 @@ accumulation, and Riemann-Roch bases.
 Orders are exact polynomial algebra, read off degrees at O and off root
 multiplicities of the polynomials and of the norm at an affine place
 (_order).  They size each local expansion, so it takes one pass.
+
+The Riemann-Roch layer is memoised on the curve that owns it, keyed by
+`Divisor.key()` (the support as a frozenset of (place, mult) pairs):
+principal_function builds and ord_at-verifies each distinct divisor's
+function once, rr_basis builds each L(D) once, and 1/h is expanded once
+per (divisor, place) at the largest precision asked for.  The memo keeps
+plain data only: normalised polynomial tuples, monomial keys, the target
+divisor and series.  FunctionRep wrappers are rebuilt from it by
+FunctionRep._wrap, which skips normalisation.  A memo value that held
+the curve would put the curve in a reference cycle, and every finished
+task's memo would then stay alive until a full garbage collection.
 """
 
 from __future__ import annotations
 
-from .curve import INFINITY, Divisor, single
+from collections.abc import Sequence
+
+from .curve import INFINITY, Divisor, Place, single
 from .errors import DomainError, InputError, InvariantViolation, PrecisionError
 from .series import LaurentSeries
 
@@ -67,19 +80,17 @@ def pscal(K, c, a):
 def pdivmod(K, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
+    a = pnorm(K, list(a))
     q = [K.zero] * max(0, len(a) - len(b) + 1)
     inv_lead = K.inv(b[-1])
-    while len(a) >= len(b) and pnorm(K, list(a)):
-        a = pnorm(K, a)
-        if len(a) < len(b):
-            break
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         f = K.mul(a[-1], inv_lead)
         q[shift] = f
         for i, c in enumerate(b):
             a[shift + i] = K.sub(a[shift + i], K.mul(f, c))
-    return pnorm(K, q), pnorm(K, a)
+        pnorm(K, a)
+    return pnorm(K, q), a
 
 
 def pgcd(K, a, b):
@@ -138,6 +149,14 @@ class FunctionRep:
         self.d0 = pscal(K, lead, d0)
 
     # -- constructors -------------------------------------------------------
+    @classmethod
+    def _wrap(cls, curve, n0, n1, d0):
+        """The function of polynomials that are already y-reduced, coprime
+        and with d0 monic, taken as they are: no normalisation."""
+        f = object.__new__(cls)
+        f.curve, f.n0, f.n1, f.d0 = curve, list(n0), list(n1), list(d0)
+        return f
+
     @classmethod
     def zero(cls, curve):
         return cls(curve, [], [], [curve.field.one])
@@ -207,7 +226,7 @@ class FunctionRep:
         """The same function over F_{q^e}."""
         if e == 1:
             return self
-        return FunctionRep(self.curve.base_change(e), self.n0, self.n1, self.d0)
+        return FunctionRep._wrap(self.curve.base_change(e), self.n0, self.n1, self.d0)
 
     # -- evaluation and expansion --------------------------------------------------
     def evaluate(self, place):
@@ -399,8 +418,20 @@ def _accumulate(curve, part):
     return g, T
 
 
+def _plain(f):
+    """f's polynomials as tuples, the form the curve's memo keeps."""
+    return (tuple(f.n0), tuple(f.n1), tuple(f.d0))
+
+
 def principal_function(curve, D):
-    """A function with divisor exactly D; requires D principal."""
+    """A function with divisor exactly D; requires D principal.
+
+    Built and ord_at-verified once per divisor, then kept on the curve as
+    its polynomials; a divisor that is not principal raises every time."""
+    key = D.key()
+    got = curve._principal_functions.get(key)
+    if got is not None:
+        return FunctionRep._wrap(curve, *got)
     if not curve.is_principal(D):
         raise DomainError("divisor is not principal")
     pos = [(p, m) for p, m in D.items_sorted() if m > 0 and not p.is_infinity]
@@ -414,6 +445,7 @@ def principal_function(curve, D):
         if f.ord_at(place) != mult:
             raise InvariantViolation(
                 f"constructed function has ord {f.ord_at(place)} != {mult} at {place!r}")
+    curve._principal_functions[key] = _plain(f)
     return f
 
 
@@ -421,40 +453,35 @@ def principal_function(curve, D):
 # Riemann-Roch spaces
 
 
-def _pole_basis_at_infinity(curve, m):
-    """Basis of L(m(O)): monomials x^i and x^i y sorted by pole order, each
-    paired with that pole order (2i or 2i + 3), which names it."""
+def _pole_orders(m):
+    """Keys of the basis of L(m(O)): the pole orders 0, 2, 3, .., m of the
+    monomials x^i (order 2i) and x^i y (order 2i + 3), sorted."""
+    return [n for n in range(m + 1) if n != 1]
+
+
+def _monomial(curve, key):
+    """The basis function a key names: x^i for the pole order 2i at O, x^i y
+    for 2i + 3, and for a place T the simple-pole function
+    (y + y_T)/(x - x_T), which lies in L((T) + (O)) with an exact simple
+    pole at T.  Each is written down in normal form (n1 or d0 is 1)."""
     K = curve.field
-    out = []
-    for i in range(m // 2 + 1):
-        if 2 * i <= m:
-            xi = [K.zero] * i + [K.one]
-            out.append((2 * i, FunctionRep(curve, xi, [], [K.one])))
-    i = 0
-    while 2 * i + 3 <= m:
-        xi = [K.zero] * i + [K.one]
-        out.append((2 * i + 3, FunctionRep(curve, [], xi, [K.one])))
-        i += 1
-    out.sort(key=lambda t: t[0])
-    return out
+    if isinstance(key, Place):
+        return FunctionRep._wrap(curve, pnorm(K, [key.y]), [K.one],
+                                 [K.neg(key.x), K.one])
+    odd = key % 2
+    xi = [K.zero] * ((key - 3 * odd) // 2) + [K.one]
+    return FunctionRep._wrap(curve, [] if odd else xi, xi if odd else [], [K.one])
 
 
-def _simple_pole_function(curve, T):
-    """(y + y_T)/(x - x_T): lies in L((T) + (O)) with an exact simple pole at T."""
-    K = curve.field
-    num = FunctionRep(curve, [T.y], [K.one], [K.one])
-    return num.div(vertical_line(curve, T))
-
-
-def _monomial_expansion(curve, key, b, place, prec):
-    """b mod t^prec at the place, or None when b vanishes there to order
-    >= prec.  Kept per (curve, place, key) at the largest precision asked
-    for; smaller requests truncate it."""
+def _monomial_expansion(curve, key, place, prec):
+    """The monomial named by key mod t^prec at the place, or None when it
+    vanishes there to order >= prec.  Kept per (curve, place, key) at the
+    largest precision asked for; smaller requests truncate it."""
     memo = curve._monomial_expansions
     got = memo.get((place, key))
     if got is None or got[0] < prec:
         try:
-            exp = b.local_expansion(place, prec)
+            exp = _monomial(curve, key).local_expansion(place, prec)
         except PrecisionError:
             exp = None
         got = (prec, exp)
@@ -466,34 +493,76 @@ def _monomial_expansion(curve, key, b, place, prec):
     return exp if exp.coeffs else None
 
 
-class RRBasis(list):
-    """The basis b * hinv of L(D) that rr_basis returns, with its factors.
+class _RRData:
+    """What the curve keeps of one nonzero L(D), as plain data: hinv = 1/h
+    as normalised polynomial tuples (n0, n1, d0), the monomial keys, the
+    target divisor, and hinv's expansion per place as (prec, series) at
+    the largest precision asked for."""
 
-    `target` is an effective divisor linearly equivalent to D (m(O), or
-    (T) + (m - 1)(O)), `monomials` the fixed basis of L(target) as
-    (key, b) pairs, and hinv = 1/h for h with divisor D - target.  A key
-    (pole order at O, or the pole T) names b on every curve, so expansions
-    of b are shared by every basis on the curve (`_monomial_expansion`).
+    __slots__ = ("hinv", "keys", "target", "expansions")
+
+    def __init__(self, hinv, keys, target):
+        self.hinv = hinv
+        self.keys = keys
+        self.target = target
+        self.expansions = {}
+
+
+class RRBasis(Sequence):
+    """The basis b * hinv of L(D) that rr_basis returns, read through its
+    factors.
+
+    The target is an effective divisor linearly equivalent to D (m(O), or
+    (T) + (m - 1)(O)), the b run through a fixed basis of L(target), each
+    named by a key (pole order at O, or the pole T) that names it on every
+    curve, and hinv = 1/h for h with divisor D - target.  Those factors
+    live in the curve's memo (_RRData).  The products b * hinv are formed
+    only when the basis is read as functions (iteration, indexing or
+    comparison with a list); its length and its expansions
+    (normalized_rows) need only the factors.
     """
 
-    def __init__(self, curve, D, funcs=(), hinv=None, monomials=(), target=None):
-        super().__init__(funcs)
+    def __init__(self, curve, D, data=None):
         self.curve = curve
         self.D = D
-        self.hinv = hinv
-        self.monomials = list(monomials)
-        self.target = target
+        self._data = data
+        self._functions = None
+
+    def __len__(self):
+        return 0 if self._data is None else len(self._data.keys)
+
+    def __getitem__(self, i):
+        return self.functions[i]
+
+    def __iter__(self):
+        return iter(self.functions)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, RRBasis)):
+            return self.functions == list(other)
+        return NotImplemented
+
+    @property
+    def functions(self):
+        """The products b * hinv, formed on first read."""
+        if self._functions is None:
+            self._functions = []
+            if self._data is not None:
+                hinv = FunctionRep._wrap(self.curve, *self._data.hinv)
+                self._functions = [_monomial(self.curve, key).mul(hinv)
+                                   for key in self._data.keys]
+        return self._functions
 
     def base_change(self, e):
-        """The same basis and factors over F_{q^e}."""
+        """The same basis over F_{q^e}; its factors join that curve's memo."""
         if e == 1:
             return self
-        if not self:
-            return RRBasis(self.curve.base_change(e), self.D)
-        return RRBasis(self.curve.base_change(e), self.D,
-                       [f.base_change(e) for f in self], self.hinv.base_change(e),
-                       [(key, b.base_change(e)) for key, b in self.monomials],
-                       self.target)
+        big = self.curve.base_change(e)
+        data = self._data
+        if data is not None:
+            data = big._rr_bases.setdefault(
+                self.D.key(), _RRData(data.hinv, data.keys, data.target))
+        return RRBasis(big, self.D, data)
 
     def normalized_rows(self, place, prec):
         """Per basis function f, the coefficients of t^0 .. t^(prec-1) of
@@ -501,24 +570,32 @@ class RRBasis(list):
 
         With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
         that series is (t^a b) * (t^-v hinv): a power series times a unit.
-        So hinv is expanded once, mod t^(prec + v), each b mod t^(prec - a)
-        (an expansion b lacks at that precision is a zero row), and each row
-        is one truncated product.
+        So hinv is expanded mod t^(prec + v) (once per divisor and place, at
+        the largest precision asked for), each b mod t^(prec - a) (an
+        expansion b lacks at that precision is a zero row), and each row is
+        one truncated product.
         """
         K = self.curve.field
         zero = K.zero
-        rows = [[zero] * prec for _ in self]
-        if not self or prec <= 0:
+        rows = [[zero] * prec for _ in range(len(self))]
+        data = self._data
+        if data is None or prec <= 0:
             return rows
-        a = self.target.mult(place)
+        a = data.target.mult(place)
         v = a - self.D.mult(place)
-        unit = self.hinv.local_expansion(place, prec + v)
+        got = data.expansions.get(place)
+        if got is None or got[0] < prec + v:
+            hinv = FunctionRep._wrap(self.curve, *data.hinv)
+            got = (prec + v, hinv.local_expansion(place, prec + v))
+            data.expansions[place] = got
+        unit = got[1]
         if unit.val != v:
             raise InvariantViolation(
                 f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
+        # a longer kept expansion is cut by the row bound below
         u = unit.coeffs
-        for row, (key, b) in zip(rows, self.monomials):
-            exp = _monomial_expansion(self.curve, key, b, place, prec - a)
+        for row, key in zip(rows, data.keys):
+            exp = _monomial_expansion(self.curve, key, place, prec - a)
             if exp is None:
                 continue
             for i, c in enumerate(exp.coeffs, exp.val + a):
@@ -534,28 +611,30 @@ def rr_basis(curve, D):
 
     The basis is b * hinv with b running through a fixed basis of L(target),
     target effective and linearly equivalent to D, and h = principal
-    function of D - target.  The result is a list of those products, an
-    RRBasis that also keeps hinv, the b and target, so expansions can be
-    formed factor by factor (RRBasis.normalized_rows).
+    function of D - target.  The result is an RRBasis: it sizes and
+    compares as the list of those products, and keeps hinv, the b and
+    target in the curve's memo (built once per divisor), so expansions can
+    be formed factor by factor (RRBasis.normalized_rows).
     """
     m = D.degree
     if m < 0:
         return RRBasis(curve, D)
+    key = D.key()
+    data = curve._rr_bases.get(key)
+    if data is not None:
+        return RRBasis(curve, D, data)
     if m == 0:
-        if curve.is_principal(D):
-            f = principal_function(curve, D.neg())
-            return RRBasis(curve, D, [f], f, [(0, FunctionRep.one(curve))], Divisor())
-        return RRBasis(curve, D)
-    T, shift = curve.divisor_reduce(D)
-    s = m - 1
-    if T.is_infinity:
-        base = _pole_basis_at_infinity(curve, m)
-        target = single(INFINITY, m)
+        if not curve.is_principal(D):
+            return RRBasis(curve, D)
+        hinv, keys, target = principal_function(curve, D.neg()), [0], Divisor()
     else:
-        base = _pole_basis_at_infinity(curve, s)
-        if s >= 1:
-            base = base + [(T, _simple_pole_function(curve, T))]
-        target = single(T).add(single(INFINITY, s))
-    h = principal_function(curve, D.sub(target))
-    hinv = h.inverse()
-    return RRBasis(curve, D, [b.mul(hinv) for _, b in base], hinv, base, target)
+        T, s = curve.divisor_reduce(D)
+        if T.is_infinity:
+            keys, target = _pole_orders(m), single(INFINITY, m)
+        else:
+            keys = _pole_orders(s) + ([T] if s >= 1 else [])
+            target = single(T).add(single(INFINITY, s))
+        hinv = principal_function(curve, D.sub(target)).inverse()
+    data = _RRData(_plain(hinv), tuple(keys), target)
+    curve._rr_bases[key] = data
+    return RRBasis(curve, D, data)

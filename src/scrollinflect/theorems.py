@@ -335,7 +335,7 @@ class _ScanPool:
         self.cache = {}
 
     def ctx(self, M, e):
-        key = (tuple((repr(p), m) for p, m in M.items_sorted()), e)
+        key = (M.key(), e)
         got = self.cache.get(key)
         if got is None:
             got = ScanContext(self.E, M, ext_degree=e, k_max=self.k_max)

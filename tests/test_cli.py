@@ -213,6 +213,26 @@ def test_input_errors_exit_1(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
     assert code == 0 and [rec["M"] for rec in json.loads(out)["reports"]] == [[]]
+    # a divisor record without its point or its mult, given by --M or as a
+    # bundle factor, and a --M value that is not a list: the error names the
+    # key or the flag
+    estar = str(INSTANCES / "estar.json")
+    for selector, message in [('[{"point": "O"}]', "has no 'mult' key"),
+                              ('[{"mult": 1}]', "has no 'point' key"),
+                              ("foo", "--M 'foo' is not JSON"),
+                              ("0", "--M '0' is neither"),
+                              ("{}", "--M '{}' is neither")]:
+        code, out = run_inproc(["osc", "--instance", estar, "--k", "0", "--M", selector],
+                               capsys)
+        assert code == 1 and message in json.loads(out)["error"], selector
+    for record, message in [({"point": "O"}, "has no 'mult' key"),
+                            ({"mult": -3}, "has no 'point' key")]:
+        doc = json.loads((INSTANCES / "estar.json").read_text())
+        doc["bundle"]["factors"][0] = [record]
+        bad.write_text(json.dumps(doc))
+        code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 1 and error.startswith("InputError") and message in error, record
 
 
 def test_byte_determinism_across_processes():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -404,3 +406,112 @@ def test_rational_curve_group_law(CQ, QQ):
     R = CQ.point_add(P, Q)
     assert R == Place(QQ.from_int(-1), QQ.from_int(0))
     assert CQ.point_add(R, R) == INFINITY
+
+
+# --------------------------------------------------------------------------
+# the Riemann-Roch memo kept on each curve
+
+
+def _polys(f):
+    return (f.n0, f.n1, f.d0)
+
+
+def _small_divisors(curve):
+    """Every divisor of degree -1..4 supported on at most two places, with
+    multiplicities of absolute value at most 3 on a pair."""
+    pts = curve.points()
+    out = [Divisor()] + [single(P, d) for P in pts for d in (-1, 1, 2, 3, 4)]
+    for i, P in enumerate(pts):
+        for Q in pts[i + 1:]:
+            for a, b in product(range(-3, 4), repeat=2):
+                if a and b and -1 <= a + b <= 4:
+                    out.append(Divisor({P: a, Q: b}))
+    return out
+
+
+def test_rr_memo_leaves_no_reference_cycle(F7):
+    """With the cyclic garbage collector off, a curve whose memo h0,
+    rr_basis and principal_function have filled is freed as soon as the
+    last reference to it goes: the memo holds nothing that refers back to
+    the curve."""
+    from scrollinflect.bundle import BundleSpec, h0
+    P = Place(3, 1)
+    gc.disable()
+    try:
+        curve = Curve(F7, 0, 2)
+        E = BundleSpec(curve, [single(INFINITY, 2), Divisor({P: 1, INFINITY: 1})])
+        V = h0(E, Divisor({P: 1, INFINITY: -1}))
+        V.section_coeffs(P, 3)
+        V.base_change(2).section_coeffs(INFINITY, 3)
+        vectors = V.vectors
+        basis = rr_basis(curve, Divisor({P: 2, INFINITY: 1}))
+        basis.normalized_rows(P, 4)
+        funcs = list(basis)
+        f = principal_function(curve, Divisor({P: 1, curve.point_neg(P): 1, INFINITY: -2}))
+        big = curve.base_change(2)
+        assert curve._principal_functions and curve._rr_bases and big._rr_bases
+        refs = [weakref.ref(curve), weakref.ref(big)]
+        del curve, big, E, V, vectors, basis, funcs, f
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_rr_memo_equals_a_fresh_build(F7):
+    """On one curve, asked twice each, every divisor of degree -1..4 on at
+    most two places of C7 gets the basis, expansion rows and principal
+    function that a fresh, equal curve builds from nothing; the rows are
+    read after a smaller and then a larger request filled the kept
+    expansions."""
+    memo = Curve(F7, 0, 2)
+    pts = memo.points()
+    for D in _small_divisors(memo):
+        fresh = Curve(F7, 0, 2)
+        want = rr_basis(fresh, D)
+        want_rows = [want.normalized_rows(place, 3) for place in pts]
+        for _ in range(2):
+            got = rr_basis(memo, D)
+            assert len(got) == len(want), D
+            assert [_polys(f) for f in got] == [_polys(f) for f in want], D
+        for place in pts:
+            got.normalized_rows(place, 1)
+            got.normalized_rows(place, 5)
+        assert [got.normalized_rows(place, 3) for place in pts] == want_rows, D
+        if memo.is_principal(D):
+            assert _polys(principal_function(memo, D)) == \
+                _polys(principal_function(fresh, D)), D
+    assert len(memo._rr_bases) > 100 and len(memo._principal_functions) > 100
+
+
+def test_rr_memo_keeps_the_checks(F7, monkeypatch):
+    """A divisor that is not principal raises on every call and is never
+    kept; a wrong accumulated function raises InvariantViolation when first
+    constructed, every time, and is never kept either."""
+    import scrollinflect.funcfield as funcfield
+    curve = Curve(F7, 0, 2)
+    P = Place(3, 1)
+    D = Divisor({P: 1, INFINITY: -1})
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            principal_function(curve, D)
+    assert D.key() not in curve._principal_functions
+    assert rr_basis(curve, D) == [] and rr_basis(curve, D.neg()) == []
+    assert not curve._principal_functions and not curve._rr_bases
+    accumulate = funcfield._accumulate
+
+    def wrong(curve, part):
+        g, T = accumulate(curve, part)
+        if any(place == P for place, _ in part):
+            g = g.mul(FunctionRep.coordinate_x(curve))
+        return g, T
+
+    monkeypatch.setattr(funcfield, "_accumulate", wrong)
+    principal = Divisor({P: 1, curve.point_neg(P): 1, INFINITY: -2})
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            principal_function(curve, principal)
+        with pytest.raises(InvariantViolation):
+            rr_basis(curve, single(P, 3))
+    assert not curve._principal_functions and not curve._rr_bases
+    monkeypatch.undo()
+    assert principal_function(curve, principal).ord_at(P) == 1

@@ -23,6 +23,10 @@ cross-check: on eflat 90 subfull fibres have their witness below level k,
 and esharp goes through the frame change at a modified place; their hashes
 were recorded before the cross-check read one witness set per place and
 settled lower levels by an h^0 count.
+SECTIONS pins `sections` over every twist class on the three instances,
+which prints each section as a vector of functions b * (1/h); their hashes
+were recorded before the Riemann-Roch layer was memoised per curve and
+divisor and those products were formed only where functions are read.
 """
 
 import hashlib
@@ -96,6 +100,15 @@ WITNESS = [
      "a18a2c069a26799a0b2e94a12de18810d5186ced04981ae3134a63e5fd3071dd"),
 ]
 
+SECTIONS = [
+    (["sections", "--instance", "estar.json", "--M", "all"],
+     "c7f448fd6c8e9cf1d50b71f3e5618bb2abd74493139e6fd4625cad2b7aad099b"),
+    (["sections", "--instance", "esharp.json", "--M", "all"],
+     "88edbd17346e511d5843aa02c545e4b79457df613d435d399d6ae5459be2ce11"),
+    (["sections", "--instance", "eflat.json", "--M", "all"],
+     "2aef62ae6c5b22f963a2c32ae98b07b9e805b15012c088f8ba59001c1d4346a5"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -142,4 +155,10 @@ def test_orbit_output_is_pinned(argv, digest, capsys):
 
 @pytest.mark.parametrize("argv, digest", WITNESS, ids=["scan-eflat", "scan-esharp"])
 def test_witness_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", SECTIONS,
+                         ids=["sections-estar", "sections-esharp", "sections-eflat"])
+def test_sections_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest
