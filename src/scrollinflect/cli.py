@@ -18,7 +18,7 @@ from .curve import Curve
 from .errors import (DomainError, InputError, InvariantViolation, PrecisionError,
                      Unsupported)
 from .fields import field_from_desc
-from .scroll import ScanContext, project_system, scan_report, subsheaf_witnesses
+from .scroll import ScanContext, project_system, scan_report, witness_sets
 from .theorems import (hirschowitz_bound, kprime_expected_dims,
                        nilpotent_rank1_exists, segre1, verify_cohomological_stability,
                        verify_generic_inflection, verify_projection,
@@ -183,13 +183,11 @@ def cmd_scan(inst, args):
 
 
 def cmd_witnesses(inst, args):
-    E = inst.bundle.base_change(inst.ext_degree)
-    big = E.curve
+    big = inst.curve.base_change(inst.ext_degree)
     out = []
     for M in inst.twists:
         recs = []
-        for place in big.points():
-            ws = subsheaf_witnesses(E, M, place, inst.k)
+        for place, ws in witness_sets(inst.bundle, M, inst.k, inst.ext_degree).items():
             if ws.is_empty:
                 continue
             recs.append({"point": big.place_to_json(place),
@@ -348,8 +346,7 @@ def run_command(argv):
         emit({"error": str(e), "kind": "invariant-violation"})
         return 2
     except (InputError, DomainError, Unsupported, PrecisionError,
-            FileNotFoundError, KeyError, json.JSONDecodeError,
-            ZeroDivisionError) as e:
+            FileNotFoundError, KeyError, json.JSONDecodeError) as e:
         emit({"error": f"{type(e).__name__}: {e}"})
         return 1
 

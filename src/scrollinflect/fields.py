@@ -355,7 +355,10 @@ class RationalField(Field):
     def elt_from_json(self, obj):
         if isinstance(obj, int):
             return Fraction(obj)
-        return Fraction(str(obj))
+        try:
+            return Fraction(str(obj))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{obj!r} is not a rational number") from None
 
     def desc(self):
         return {"kind": "rationals"}
@@ -401,12 +404,19 @@ def _json_int(value, what):
     return value
 
 
+def _field_int(desc, key):
+    """The integer under key in a field record; a missing key is named."""
+    if key not in desc:
+        raise InputError(f"the {desc.get('kind')} field record has no {key!r} key")
+    return _json_int(desc[key], key)
+
+
 def field_from_desc(desc):
     kind = desc.get("kind")
     if kind == "prime":
-        return PrimeField(_json_int(desc["p"], "p"))
+        return PrimeField(_field_int(desc, "p"))
     if kind == "extension":
-        p, degree = _json_int(desc["p"], "p"), _json_int(desc["degree"], "degree")
+        p, degree = _field_int(desc, "p"), _field_int(desc, "degree")
         modulus = desc.get("modulus") or find_irreducible(p, degree)
         if not isinstance(modulus, list) or len(modulus) != degree + 1:
             raise InputError("modulus is not a list of degree + 1 coefficients")

@@ -7,6 +7,13 @@ On top of the representation this module provides local expansions at a
 place, divisor-prescribed function construction by chord/vertical-line
 accumulation, and Riemann-Roch bases.
 
+principal_function multiplies Miller's lines as unreduced polynomials and
+normalises once per divisor.  The output does not depend on where the
+normalisation happens: every chord y - lam x - nu and vertical x - x_R has
+leading coefficient 1 in t = x/y at O, so the function has the prescribed
+divisor and leading coefficient 1, and only one function has both; its
+reduced form with monic d0 is unique too (see principal_function).
+
 Orders are exact polynomial algebra, read off degrees at O and off root
 multiplicities of the polynomials and of the norm at an affine place
 (_order).  They size each local expansion, so it takes one pass.
@@ -333,12 +340,30 @@ def _norm(curve, n0, n1):
 
 def _root_mult(K, polys, x0):
     """(m, quotients): the largest m with (x - x0)^m dividing every one of
-    polys (not all zero), and each divided by (x - x0)^m."""
-    root, m = [K.neg(x0), K.one], 0
-    while all(peval(K, a, x0) == K.zero for a in polys):
-        polys = [pdivmod(K, a, root)[0] for a in polys]
+    polys (not all zero), and each divided by (x - x0)^m.  Each pass is one
+    synthetic division per polynomial, whose remainder is its value at x0;
+    the first nonzero remainder ends the search."""
+    m = 0
+    while True:
+        quotients = []
+        for a in polys:
+            q, rem = _synthetic_div(K, a, x0)
+            if rem != K.zero:
+                return m, polys
+            quotients.append(q)
+        polys = quotients
         m += 1
-    return m, polys
+
+
+def _synthetic_div(K, a, x0):
+    """(q, a(x0)) with a = (x - x0) q + a(x0), by Horner's rule."""
+    acc, q = K.zero, []
+    for c in reversed(a):
+        acc = K.add(K.mul(acc, x0), c)
+        q.append(acc)
+    rem = q.pop() if q else K.zero
+    q.reverse()
+    return q, rem
 
 
 def _order(curve, n0, n1, place):
@@ -374,8 +399,9 @@ def vertical_line(curve, P):
     return FunctionRep(curve, [K.neg(P.x), K.one], [], [K.one])
 
 
-def chord_line(curve, P, Q):
-    """y - (lam x + nu) through P and Q (tangent if P == Q); not for vertical pairs."""
+def _chord(curve, P, Q):
+    """[-nu, -lam] for the line y = lam x + nu through P and Q (tangent if
+    P == Q); not for vertical pairs."""
     K = curve.field
     if P.x == Q.x and K.add(P.y, Q.y) == K.zero:
         raise InputError("chord through a vertical pair; use vertical_line")
@@ -385,37 +411,44 @@ def chord_line(curve, P, Q):
     else:
         lam = K.div(K.sub(Q.y, P.y), K.sub(Q.x, P.x))
     nu = K.sub(P.y, K.mul(lam, P.x))
-    return FunctionRep(curve, [K.neg(nu), K.neg(lam)], [K.one], [K.one])
+    return [K.neg(nu), K.neg(lam)]
 
 
-def _line_step(curve, P, Q):
-    """(h, P+Q) with div(h) = (P) + (Q) - (P+Q) - (O)."""
-    if P.is_infinity:
-        return FunctionRep.one(curve), Q
-    if Q.is_infinity:
-        return FunctionRep.one(curve), P
-    R = curve.point_add(P, Q)
-    if R.is_infinity:
-        return vertical_line(curve, P), R
-    line = chord_line(curve, P, Q)
-    return line.div(vertical_line(curve, R)), R
+def chord_line(curve, P, Q):
+    """y - (lam x + nu) through P and Q (tangent if P == Q); not for vertical pairs."""
+    return FunctionRep(curve, _chord(curve, P, Q), [curve.field.one], [curve.field.one])
 
 
 def _accumulate(curve, part):
-    """For effective part = [(place, mult)], a function g and point T with
-    div(g) = part - (T) - (deg - 1)(O)."""
-    g = FunctionRep.one(curve)
+    """For effective part = [(place, mult)] of affine places, unreduced
+    polynomials (a0, a1, ad) and a point T with
+    div((a0 + a1 y)/ad) = part - (T) - (deg - 1)(O).
+
+    Each step from T to T + P multiplies by the chord y - lam x - nu over
+    the vertical x - x_{T+P}, or by the vertical x - x_P when T + P = O
+    (Miller's line functions); y^2 is folded into a0 as the cubic.  Every
+    factor has leading coefficient 1 at O, and so has the product."""
+    K = curve.field
+    cubic = _cubic(curve)
+    a0, a1, ad = [K.one], [], [K.one]
     T = INFINITY
-    first = True
     for place, mult in part:
         for _ in range(mult):
-            if first:
+            if T.is_infinity:
                 T = place
-                first = False
                 continue
-            h, T = _line_step(curve, T, place)
-            g = g.mul(h)
-    return g, T
+            R = curve.point_add(T, place)
+            if R.is_infinity:
+                vertical = [K.neg(place.x), K.one]
+                a0, a1 = pmul(K, a0, vertical), pmul(K, a1, vertical)
+            else:
+                # (a0 + a1 y)(l0 + y) = a0 l0 + a1 cubic + (a0 + a1 l0) y
+                l0 = _chord(curve, T, place)
+                a0, a1 = (padd(K, pmul(K, a0, l0), pmul(K, a1, cubic)),
+                          padd(K, a0, pmul(K, a1, l0)))
+                ad = pmul(K, ad, [K.neg(R.x), K.one])
+            T = R
+    return (a0, a1, ad), T
 
 
 def _plain(f):
@@ -424,7 +457,16 @@ def _plain(f):
 
 
 def principal_function(curve, D):
-    """A function with divisor exactly D; requires D principal.
+    """A function with divisor exactly D and leading coefficient 1 at O;
+    requires D principal.
+
+    The two Miller products (a0 + a1 y)/a_d for the positive part and
+    (b0 + b1 y)/b_d for the negative part are accumulated unreduced and
+    divided as (a0 + a1 y) b_d (b0 - b1 y) / (a_d N(b)), N(b) the norm, so
+    the FunctionRep constructor normalises once.  The result is the one
+    reduced form of the one function with that divisor and leading
+    coefficient 1: the d0 with f d0 in F[x] + F[x] y form an ideal of F[x],
+    and the monic generator is the only d0 left coprime to n0 and n1.
 
     Built and ord_at-verified once per divisor, then kept on the curve as
     its polynomials; a divisor that is not principal raises every time."""
@@ -436,11 +478,15 @@ def principal_function(curve, D):
         raise DomainError("divisor is not principal")
     pos = [(p, m) for p, m in D.items_sorted() if m > 0 and not p.is_infinity]
     neg = [(p, -m) for p, m in D.items_sorted() if m < 0 and not p.is_infinity]
-    gp, tp = _accumulate(curve, pos)
-    gn, tn = _accumulate(curve, neg)
+    (a0, a1, ad), tp = _accumulate(curve, pos)
+    (b0, b1, bd), tn = _accumulate(curve, neg)
     if tp != tn:
         raise InvariantViolation("principal divisor accumulated to mismatched points")
-    f = gp.div(gn)
+    K = curve.field
+    n0 = psub(K, pmul(K, a0, b0), pmul(K, pmul(K, a1, b1), _cubic(curve)))
+    n1 = psub(K, pmul(K, a1, b0), pmul(K, a0, b1))
+    f = FunctionRep(curve, pmul(K, n0, bd), pmul(K, n1, bd),
+                    pmul(K, ad, _norm(curve, b0, b1)))
     for place, mult in D.items_sorted():
         if f.ord_at(place) != mult:
             raise InvariantViolation(
@@ -611,7 +657,8 @@ def rr_basis(curve, D):
 
     The basis is b * hinv with b running through a fixed basis of L(target),
     target effective and linearly equivalent to D, and h = principal
-    function of D - target.  The result is an RRBasis: it sizes and
+    function of D - target; hinv is built directly as the principal
+    function of target - D.  The result is an RRBasis: it sizes and
     compares as the list of those products, and keeps hinv, the b and
     target in the curve's memo (built once per divisor), so expansions can
     be formed factor by factor (RRBasis.normalized_rows).
@@ -626,7 +673,7 @@ def rr_basis(curve, D):
     if m == 0:
         if not curve.is_principal(D):
             return RRBasis(curve, D)
-        hinv, keys, target = principal_function(curve, D.neg()), [0], Divisor()
+        keys, target = [0], Divisor()
     else:
         T, s = curve.divisor_reduce(D)
         if T.is_infinity:
@@ -634,7 +681,7 @@ def rr_basis(curve, D):
         else:
             keys = _pole_orders(s) + ([T] if s >= 1 else [])
             target = single(T).add(single(INFINITY, s))
-        hinv = principal_function(curve, D.sub(target)).inverse()
+    hinv = principal_function(curve, target.sub(D))
     data = _RRData(_plain(hinv), tuple(keys), target)
     curve._rr_bases[key] = data
     return RRBasis(curve, D, data)

@@ -33,7 +33,12 @@ V_k = H^0(M^{-1}E((k+1)p)) in the fibre, and the exact sequence
 0 -> M^{-1}E(kp) -> M^{-1}E((k+1)p) -> fibre at p gives
 rank W_k = dim V_k - h^0(M^{-1}E(kp)); so witnesses of some level below k
 exist iff h^0(M^{-1}E(kp)) > h^0(M^{-1}E), one count in place of k
-witness sets (`_witness_cross_check`).
+witness sets (`_witness_cross_check`).  Over F_{q^e}, e > 1, the witness
+sets are built at one place per Frobenius orbit and read elsewhere as
+images (`witness_sets`), for the reason the order matrices are: E, M and
+the Riemann-Roch bases are defined over F_q.  Both take their orbits from
+`frobenius_orbits`, which walks `Curve.frobenius` and forms no orbit at
+e = 1, where the base field need not be prime.
 """
 
 from __future__ import annotations
@@ -302,6 +307,65 @@ def subsheaf_witnesses(E_spec, M, place, k):
     return WitnessSet(place, k, acc, V.dimension)
 
 
+def frobenius_orbits(base_curve, ext_degree):
+    """The points of base_curve over F_{q^e} as Frobenius orbits
+    [p, sigma(p), sigma^2(p), ...], each from its first place in points()
+    order; sigma is Curve.frobenius.
+
+    Reading data at sigma(p) as the image of the data at p is sound only
+    when everything it is computed from (curve, bundle, twist) is defined
+    over F_q with sigma: a -> a^q.  Base change from e > 1 needs a prime
+    base field (fields.extension_of), so there it holds; at e = 1 the
+    curve may itself be over F_{p^d}, its points, factors and twists not
+    fixed by a -> a^p, and every place is an orbit of its own."""
+    curve = base_curve.base_change(ext_degree)
+    if ext_degree == 1:
+        return [[place] for place in curve.points()]
+    orbits, seen = [], set()
+    for place in curve.points():
+        if place in seen:
+            continue
+        orbit, image = [place], curve.frobenius(place)
+        while image != place:
+            orbit.append(image)
+            image = curve.frobenius(image)
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
+def _frobenius_rows(field, rows):
+    """The entrywise images a -> a^p of a list of rows."""
+    frob = field.frobenius
+    return [[frob(a) for a in row] for row in rows]
+
+
+def witness_sets(E_spec, M, k, ext_degree=1):
+    """{place: W_k} over the points of E_spec's curve over F_{q^e}, in their
+    order; E_spec and M live on the base curve.
+
+    Over F_{q^e}, e > 1, W_k is built by subsheaf_witnesses only at the
+    first place of each Frobenius orbit (frobenius_orbits).  V_k at
+    sigma(p) is the image under sigma of V_k at p: sigma fixes E and M and
+    maps the divisor M^{-1}((k+1)p) to M^{-1}((k+1)sigma(p)), and each
+    Riemann-Roch basis function to the one built for the image divisor (the
+    principal function with a given divisor and leading coefficient 1 at O
+    is unique).  The fibre frames are defined over F_q, and the echelon
+    steps commute with sigma, so the echelon rows of W_k at sigma(p) are
+    the entrywise images a -> a^q of those at p, in the same order."""
+    E = E_spec.base_change(ext_degree)
+    K = E.curve.field
+    built = {}
+    for orbit in frobenius_orbits(E_spec.curve, ext_degree):
+        ws = built[orbit[0]] = subsheaf_witnesses(E, M, orbit[0], k)
+        for image in orbit[1:]:
+            span = EchelonAccumulator(K, E.rank)
+            for row in _frobenius_rows(K, ws.span.rows):
+                span.insert(row)           # already reduced: each goes in as it is
+            ws = built[image] = WitnessSet(image, k, span, ws.dimension)
+    return {place: built[place] for place in E.curve.points()}
+
+
 # --------------------------------------------------------------------------
 # exhaustive fibre scans
 
@@ -344,7 +408,7 @@ class ScanContext:
     one nested osculating flag per place.
 
     Over F_{q^e}, e > 1, the order matrices are expanded only at the first
-    place of each Frobenius orbit (in `places` order); q is prime here
+    place of each Frobenius orbit (frobenius_orbits); q is prime here
     (fields.extension_of) and sigma is a -> a^q.  This is sound because E,
     M, the sections (coefficient rows over F_q on a Riemann-Roch basis of
     the base curve) and the canonical uniformisers x - x0, y and x/y are
@@ -369,6 +433,7 @@ class ScanContext:
         elif sections.spec.curve != base_curve:
             raise InputError("the sections must live on the bundle's curve")
         self.base_curve = base_curve
+        self.base_E = E_spec
         self.M = M
         self.ext_degree = ext_degree
         self.k_max = k_max
@@ -379,16 +444,9 @@ class ScanContext:
         self.places = self.curve.points()
         self._orders = {}
         self._flags = {}           # place -> (EchelonAccumulator, ranks by order)
-        self._preimage = {}        # place -> its Frobenius preimage, off orbit starts
-        if ext_degree > 1:
-            for place in self.places:
-                if place in self._preimage:
-                    continue
-                image = self.curve.frobenius(place)
-                prev = place
-                while image != place:
-                    self._preimage[image] = prev
-                    prev, image = image, self.curve.frobenius(image)
+        self._preimage = {image: prev
+                          for orbit in frobenius_orbits(base_curve, ext_degree)
+                          for prev, image in zip(orbit, orbit[1:])}
 
     def orders_at(self, place):
         got = self._orders.get(place)
@@ -397,8 +455,7 @@ class ScanContext:
             if prev is None:
                 got = order_matrices(self.E, self.sections, place, self.k_max)
             else:
-                frob = self.curve.field.frobenius
-                got = [[[frob(a) for a in row] for row in B]
+                got = [_frobenius_rows(self.curve.field, B)
                        for B in self.orders_at(prev)]
             self._orders[place] = got
         return got
@@ -573,7 +630,7 @@ def _witness_cross_check(ctx, k, scans, subfull):
     h0(M^{-1}E(kp)) exceed h0(M^{-1}E) and equal dim V_k - rank W_k; the
     equality keeps faulty fibre values from passing as a lower witness."""
     E, M = ctx.E, ctx.M
-    witnesses = {place: subsheaf_witnesses(E, M, place, k) for place in ctx.places}
+    witnesses = witness_sets(ctx.base_E, M, k, ctx.ext_degree)
     for place, wk in witnesses.items():
         if any(scans[place].rank_of(row) > k * E.rank for row in wk.span.rows):
             return False

@@ -186,6 +186,9 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert code == 1 and message in json.loads(out)["error"], message
     # a missing key is named, not reported as a KeyError
     for message, edit in [("no 'field' key", lambda d: d.pop("field")),
+                          ("no 'p' key", lambda d: d.update(field={"kind": "prime"})),
+                          ("no 'degree' key", lambda d: d.update(field={
+                              "kind": "extension", "p": 7})),
                           ("no 'curve' key", lambda d: d.pop("curve")),
                           ("no 'bundle' key", lambda d: d.pop("bundle")),
                           ("no 'a4' key", lambda d: d["curve"].pop("a4")),
@@ -233,6 +236,33 @@ def test_input_errors_exit_1(tmp_path, capsys):
         code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
         error = json.loads(out)["error"]
         assert code == 1 and error.startswith("InputError") and message in error, record
+
+
+def test_rational_coefficients_that_do_not_parse_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for a4 in ("1/0", "x"):
+        doc = dict(json.loads((INSTANCES / "estar.json").read_text()),
+                   field={"kind": "rationals"}, M=[])
+        doc["curve"] = {"a4": a4, "a6": "0"}
+        bad.write_text(json.dumps(doc))
+        code, out = run_inproc(["curve-info", "--instance", str(bad)], capsys)
+        assert code == 1 and "not a rational number" in json.loads(out)["error"], a4
+
+
+def test_division_by_zero_in_the_engine_is_not_an_input_error(monkeypatch, capsys):
+    """A ZeroDivisionError raised inside principal_function is an engine bug:
+    it propagates from run_command, with nothing on stdout, instead of
+    ending in exit 1 with a JSON error."""
+    import scrollinflect.funcfield as funcfield
+
+    def dividing(curve, part):
+        raise ZeroDivisionError("polynomial division by zero")
+
+    monkeypatch.setattr(funcfield, "_accumulate", dividing)
+    with pytest.raises(ZeroDivisionError):
+        cli.run_command(["osc", "--instance", str(INSTANCES / "estar.json"),
+                         "--k", "0", "--M", "[]"])
+    assert capsys.readouterr().out == ""
 
 
 def test_byte_determinism_across_processes():

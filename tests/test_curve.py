@@ -500,10 +500,11 @@ def test_rr_memo_keeps_the_checks(F7, monkeypatch):
     accumulate = funcfield._accumulate
 
     def wrong(curve, part):
-        g, T = accumulate(curve, part)
+        (a0, a1, ad), T = accumulate(curve, part)
         if any(place == P for place, _ in part):
-            g = g.mul(FunctionRep.coordinate_x(curve))
-        return g, T
+            x = [F7.zero, F7.one]           # a stray factor of x
+            a0, a1 = pmul(F7, a0, x), pmul(F7, a1, x)
+        return (a0, a1, ad), T
 
     monkeypatch.setattr(funcfield, "_accumulate", wrong)
     principal = Divisor({P: 1, curve.point_neg(P): 1, INFINITY: -2})

@@ -27,6 +27,9 @@ SECTIONS pins `sections` over every twist class on the three instances,
 which prints each section as a vector of functions b * (1/h); their hashes
 were recorded before the Riemann-Roch layer was memoised per curve and
 divisor and those products were formed only where functions are read.
+WITNESS_ORBITS pins `witnesses` over every twist class and F_343; its hash
+was recorded before principal functions were normalised once per divisor
+and witness sets were read along Frobenius orbits.
 """
 
 import hashlib
@@ -109,6 +112,11 @@ SECTIONS = [
      "2aef62ae6c5b22f963a2c32ae98b07b9e805b15012c088f8ba59001c1d4346a5"),
 ]
 
+WITNESS_ORBITS = [
+    (["witnesses", "--instance", "eflat.json", "--k", "1", "--M", "all", "--ext", "3"],
+     "dfa893a9201b3875ea5c976dc851a440ae75b5c2d67762ac8f579dbf10234df0"),
+]
+
 
 def _stdout_digest(argv, capsys):
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
@@ -161,4 +169,9 @@ def test_witness_output_is_pinned(argv, digest, capsys):
 @pytest.mark.parametrize("argv, digest", SECTIONS,
                          ids=["sections-estar", "sections-esharp", "sections-eflat"])
 def test_sections_output_is_pinned(argv, digest, capsys):
+    assert _stdout_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("argv, digest", WITNESS_ORBITS, ids=["witnesses-eflat-ext3"])
+def test_witness_orbit_output_is_pinned(argv, digest, capsys):
     assert _stdout_digest(argv, capsys) == digest

@@ -1,15 +1,16 @@
 import pytest
 
 from scrollinflect.bundle import BundleSpec, dual_twist, h0, normalized_series
-from scrollinflect.curve import Divisor, INFINITY, Place, single
+from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
+from scrollinflect.fields import extension_of
 from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
                                   adversarial_projection,
                                   global_generation_check, infl_scan, jet_matrix,
                                   order_matrices, osc_dim, osc_dim_oracle,
                                   project_system,
                                   projective_points, scan_report, standard_basis,
-                                  subsheaf_witnesses)
+                                  subsheaf_witnesses, witness_sets)
 
 P31 = Place(3, 1)
 M0 = Divisor()
@@ -338,3 +339,60 @@ def test_scan_context_rejects_sections_on_another_curve(estar):
     lifted = h0(dual_twist(estar.base_change(2), M0))
     with pytest.raises(InputError):
         ScanContext(estar, M0, ext_degree=2, sections=lifted)
+
+
+def _witness_mismatches(E, M, k, e=1):
+    """Places of C(F_{q^e}) where witness_sets(E, M, k, e) differs from the
+    witness set built at the place itself."""
+    big = E.base_change(e)
+    places = big.curve.points()
+    shared = witness_sets(E, M, k, e)
+    assert list(shared) == places
+    out = []
+    for place in places:
+        direct = subsheaf_witnesses(big, M, place, k)
+        got = shared[place]
+        if (got.place, got.k, got.dimension, got.span.rows, got.span.pivot_cols) != \
+                (place, k, direct.dimension, direct.span.rows, direct.span.pivot_cols):
+            out.append(place)
+    return out
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("name", ["estar", "esharp", "eflat"])
+def test_orbit_shared_witness_sets_equal_direct_builds(name, e, request):
+    """Witness sets read as Frobenius images equal those built at the place
+    itself, echelon rows included, at every place of C(F_{7^e})."""
+    E = request.getfixturevalue(name)
+    for M in (M0, Divisor({P31: 1, INFINITY: -1})):
+        for k in range(3):
+            assert _witness_mismatches(E, M, k, e) == [], (M, k)
+
+
+def test_no_orbits_are_formed_over_an_extension_base_field(F7):
+    """On a curve over F_49 itself (an instance whose field is an extension,
+    scanned at --ext 1) a twist (T) - (O) or a bundle factor may sit at a
+    point that a -> a^7 moves, so the data at sigma(p) is not the image of
+    the data at p: every witness set and order matrix must equal the one
+    built at its place."""
+    C49 = Curve(extension_of(F7, 2), 0, 2)
+    moved = [T for T in C49.points() if C49.frobenius(T) != T]
+    for E in (BundleSpec(C49, [single(INFINITY, -2), single(INFINITY, -2)]),
+              BundleSpec(C49, [single(INFINITY, -1),
+                               Divisor({INFINITY: -1, moved[0]: -1})])):
+        for M in [M0] + [Divisor({T: 1, INFINITY: -1}) for T in moved[1:3]]:
+            for k in range(3):
+                assert _witness_mismatches(E, M, k) == [], (E.factors, M, k)
+            ctx = ScanContext(E, M, k_max=2)
+            for place in ctx.places:
+                assert ctx.orders_at(place) == order_matrices(ctx.E, ctx.sections,
+                                                              place, 2), (M, place)
+
+
+def test_witness_orbit_by_inverse_frobenius_is_caught(esharp, monkeypatch):
+    """Stepping each orbit by sigma^-1 (= sigma^2 over F_343) while the rows
+    are still mapped by sigma puts wrong witness sets at most places."""
+    sigma = Curve.frobenius
+    monkeypatch.setattr(Curve, "frobenius",
+                        lambda curve, place: sigma(curve, sigma(curve, place)))
+    assert len(_witness_mismatches(esharp, M0, 2, 3)) > 100
