@@ -18,9 +18,9 @@ list of summed functions.  The ambient functions are expanded once per
 place, at the largest precision asked for, and kept as plain lists of
 field elements.  Those tables are built in the factored form rr_basis
 returns: every function of a factor's basis is b * (1/h) with b a
-monomial x^i, x^i y or the simple-pole function, so 1/h is expanded once
-per (divisor, place) and each b once per place, both kept on the curve
-(funcfield's Riemann-Roch memo), and each row is their truncated
+monomial x^i, x^i y or the simple-pole function, so each b is expanded
+once per place and kept on the curve (funcfield's Riemann-Roch memo),
+1/h is expanded once per table, and each row is their truncated
 product.  The products b * (1/h) themselves are formed only where
 functions are read (`SectionBasis.vectors`).  Every section's
 components are exact linear combinations of those lists
@@ -145,12 +145,16 @@ class BundleSpec:
     @classmethod
     def from_json(cls, curve, obj):
         K = curve.field
+        if "factors" not in obj:
+            raise InputError(f"bundle {obj!r} has no 'factors' key")
         factors, mods = obj["factors"], obj.get("modifications", [])
         if not isinstance(factors, list) or not isinstance(mods, list):
             raise InputError("bundle factors and modifications must be lists")
-        if not all(isinstance(m, dict) and isinstance(m.get("codirection"), list)
-                   for m in mods):
-            raise InputError("a modification is an object with a codirection list")
+        for m in mods:
+            if not isinstance(m, dict) or not isinstance(m.get("codirection"), list):
+                raise InputError("a modification is an object with a codirection list")
+            if "point" not in m:
+                raise InputError(f"modification {m!r} has no 'point' key")
         factors = [curve.divisor_from_json(f) for f in factors]
         mods = [Modification.simple(curve.place_from_json(m["point"]),
                                     [K.elt_from_json(v) for v in m["codirection"]])
@@ -308,9 +312,9 @@ class AmbientBasis:
     precision asked for so far, and truncated for smaller requests: the
     coefficient tables of t^0 .. t^(prec-1) are what every section basis
     over this ambient list combines.  A table is built factor by factor
-    (funcfield.RRBasis.normalized_rows): each slot's 1/h is expanded once,
-    each x^i, x^i y or simple-pole numerator comes from one expansion kept
-    on the curve, and each row is their product.
+    (funcfield.RRBasis.normalized_rows): each slot's 1/h is expanded once
+    per table, each x^i, x^i y or simple-pole numerator comes from one
+    expansion kept on the curve, and each row is their product.
     """
 
     def __init__(self, curve, factors, twist, bases):
@@ -413,24 +417,6 @@ class SectionBasis:
                         acc[j] = K.add(acc[j], K.mul(c, coeffs[j]))
             out.append(comps)
         return out
-
-    def check_independence(self):
-        """Certify linear independence by the order-0 and order-1 coefficients
-        at finitely many places."""
-        if not self.coeffs:
-            return True
-        curve = self.spec.curve
-        places = curve.points() if curve.field.is_finite else []
-        K = curve.field
-        rows = [[] for _ in self.coeffs]
-        for place in places:
-            for row, comps in zip(rows, self.section_coeffs(place, 2)):
-                for comp in comps:
-                    row.extend(comp)
-            mat = ExactMatrix.from_rows(K, rows)
-            if mat_rank_kernel(mat)[0] == len(self.coeffs):
-                return True
-        return False
 
     def to_json(self):
         return {

@@ -105,8 +105,13 @@ def _twist_flag(text):
 
 
 def load_instance(path, overrides):
-    with open(path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read instance {path!r}: {e.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InputError(f"instance {path!r} is not UTF-8 JSON: {e}") from None
     inst = Instance(obj)
     if overrides.k is not None:
         inst.k = overrides.k
@@ -345,8 +350,7 @@ def run_command(argv):
     except InvariantViolation as e:
         emit({"error": str(e), "kind": "invariant-violation"})
         return 2
-    except (InputError, DomainError, Unsupported, PrecisionError,
-            FileNotFoundError, KeyError, json.JSONDecodeError) as e:
+    except (InputError, DomainError, Unsupported, PrecisionError) as e:
         emit({"error": f"{type(e).__name__}: {e}"})
         return 1
 

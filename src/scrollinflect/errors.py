@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps InputError/DomainError to exit code 1 and
-InvariantViolation to exit code 2; everything else is a bug.
+The CLI maps InputError, DomainError, Unsupported and PrecisionError to
+exit code 1 and InvariantViolation to exit code 2; everything else is a
+bug and propagates.
 """
 
 

@@ -21,10 +21,11 @@ multiplicities of the polynomials and of the norm at an affine place
 The Riemann-Roch layer is memoised on the curve that owns it, keyed by
 `Divisor.key()` (the support as a frozenset of (place, mult) pairs):
 principal_function builds and ord_at-verifies each distinct divisor's
-function once, rr_basis builds each L(D) once, and 1/h is expanded once
-per (divisor, place) at the largest precision asked for.  The memo keeps
-plain data only: normalised polynomial tuples, monomial keys, the target
-divisor and series.  FunctionRep wrappers are rebuilt from it by
+function once, and rr_basis builds each L(D) once.  The basis monomials
+are expanded once per place, at the largest precision asked for; 1/h is
+expanded afresh on each normalized_rows call.  The memo keeps plain data
+only: normalised polynomial tuples, monomial keys, the target divisor
+and series.  FunctionRep wrappers are rebuilt from it by
 FunctionRep._wrap, which skips normalisation.  A memo value that held
 the curve would put the curve in a reference cycle, and every finished
 task's memo would then stay alive until a full garbage collection.
@@ -172,16 +173,6 @@ class FunctionRep:
     def one(cls, curve):
         return cls(curve, [curve.field.one], [], [curve.field.one])
 
-    @classmethod
-    def coordinate_x(cls, curve):
-        K = curve.field
-        return cls(curve, [K.zero, K.one], [], [K.one])
-
-    @classmethod
-    def coordinate_y(cls, curve):
-        K = curve.field
-        return cls(curve, [], [K.one], [K.one])
-
     # -- predicates -----------------------------------------------------------
     def is_zero(self):
         return not self.n0 and not self.n1
@@ -201,6 +192,7 @@ class FunctionRep:
         return FunctionRep(self.curve, n0, n1, pmul(K, self.d0, other.d0))
 
     def inverse(self):
+        """1/f.  No engine caller; kept, with div, for the Miller reference."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
         K = self.curve.field
@@ -394,7 +386,7 @@ def _order(curve, n0, n1, place):
 
 
 def vertical_line(curve, P):
-    """x - x_P, with divisor (P) + (-P) - 2(O)."""
+    """x - x_P, with divisor (P) + (-P) - 2(O).  Kept for the Miller reference."""
     K = curve.field
     return FunctionRep(curve, [K.neg(P.x), K.one], [], [K.one])
 
@@ -415,7 +407,10 @@ def _chord(curve, P, Q):
 
 
 def chord_line(curve, P, Q):
-    """y - (lam x + nu) through P and Q (tangent if P == Q); not for vertical pairs."""
+    """y - (lam x + nu) through P and Q (tangent if P == Q); not for vertical
+    pairs.  No engine caller: with vertical_line, FunctionRep.mul and div it
+    builds the step-by-step Miller reference principal_function is tested
+    against."""
     return FunctionRep(curve, _chord(curve, P, Q), [curve.field.one], [curve.field.one])
 
 
@@ -541,17 +536,16 @@ def _monomial_expansion(curve, key, place, prec):
 
 class _RRData:
     """What the curve keeps of one nonzero L(D), as plain data: hinv = 1/h
-    as normalised polynomial tuples (n0, n1, d0), the monomial keys, the
-    target divisor, and hinv's expansion per place as (prec, series) at
-    the largest precision asked for."""
+    as normalised polynomial tuples (n0, n1, d0), the monomial keys and the
+    target divisor.  hinv's expansions are not kept: each normalized_rows
+    call expands it afresh."""
 
-    __slots__ = ("hinv", "keys", "target", "expansions")
+    __slots__ = ("hinv", "keys", "target")
 
     def __init__(self, hinv, keys, target):
         self.hinv = hinv
         self.keys = keys
         self.target = target
-        self.expansions = {}
 
 
 class RRBasis(Sequence):
@@ -616,10 +610,9 @@ class RRBasis(Sequence):
 
         With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
         that series is (t^a b) * (t^-v hinv): a power series times a unit.
-        So hinv is expanded mod t^(prec + v) (once per divisor and place, at
-        the largest precision asked for), each b mod t^(prec - a) (an
-        expansion b lacks at that precision is a zero row), and each row is
-        one truncated product.
+        So hinv is expanded mod t^(prec + v) on each call, each b mod
+        t^(prec - a) (kept per curve and place; an expansion b lacks at that
+        precision is a zero row), and each row is one truncated product.
         """
         K = self.curve.field
         zero = K.zero
@@ -629,16 +622,11 @@ class RRBasis(Sequence):
             return rows
         a = data.target.mult(place)
         v = a - self.D.mult(place)
-        got = data.expansions.get(place)
-        if got is None or got[0] < prec + v:
-            hinv = FunctionRep._wrap(self.curve, *data.hinv)
-            got = (prec + v, hinv.local_expansion(place, prec + v))
-            data.expansions[place] = got
-        unit = got[1]
+        hinv = FunctionRep._wrap(self.curve, *data.hinv)
+        unit = hinv.local_expansion(place, prec + v)
         if unit.val != v:
             raise InvariantViolation(
                 f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
-        # a longer kept expansion is cut by the row bound below
         u = unit.coeffs
         for row, key in zip(rows, data.keys):
             exp = _monomial_expansion(self.curve, key, place, prec - a)

@@ -39,10 +39,6 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.cols, self.rows,
                            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def mul_vec(self, v):
-        K = self.field
-        return [K.dot(row, v) for row in self.data]
-
     def is_zero(self):
         z = self.field.zero
         return all(v == z for row in self.data for v in row)

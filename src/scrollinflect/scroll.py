@@ -189,26 +189,16 @@ def order_matrices(E_spec, sections, place, k_max):
 # single-point jets
 
 
-class JetMatrix:
-    """Coefficient matrix of the order-<=k operators at a scroll point.
+def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
+               uniformiser_scale=None):
+    """The (kr+1) x (n+1) Taylor-coefficient matrix at x, exact, as an
+    ExactMatrix.
 
     Rows: first the pure orders (j, 1) for 0 <= j <= k, then for each
     order 0 <= l <= k-1 the mixed rows over the completion directions.
+    The engine passes neither completion nor uniformiser_scale; they stay
+    for the test that the rank does not depend on the frame.
     """
-
-    def __init__(self, k, matrix, point):
-        self.k = k
-        self.matrix = matrix
-        self.point = point
-
-    @property
-    def rank(self):
-        return mat_rank_kernel(self.matrix)[0]
-
-
-def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
-               uniformiser_scale=None):
-    """The (kr+1) x (n+1) Taylor-coefficient matrix at x, exact."""
     curve = E_spec.curve
     K = curve.field
     check_jet_order(K, k)
@@ -245,13 +235,12 @@ def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
     for ell in range(k):
         for widx in range(1, r):
             rows.append([coeff(combos[c][widx], ell) for c in range(ncols)])
-    mat = ExactMatrix.from_rows(K, rows) if rows else ExactMatrix(K, 0, ncols)
-    return JetMatrix(k, mat, x)
+    return ExactMatrix.from_rows(K, rows) if rows else ExactMatrix(K, 0, ncols)
 
 
 def osc_dim(E_spec, M, x, k, sections=None):
     """dim Osc^k at x (-1 when the point is a base point of the system)."""
-    return jet_matrix(E_spec, M, x, k, sections=sections).rank - 1
+    return mat_rank_kernel(jet_matrix(E_spec, M, x, k, sections=sections))[0] - 1
 
 
 def osc_dim_oracle(E_spec, M, x, k):
@@ -495,6 +484,14 @@ class FiberDeficiency:
         self.fiber_size = fiber_size
 
 
+def expected_dims(n, r):
+    """(k', dims) for a complete system of dimension n and rank r: the top
+    jet order k' = n // r, and for k = 0..k' the expected dimension of the
+    k-th inflection locus, -1 (empty) below k' and (k' + 1) r - n - 1 at k'."""
+    k_prime = n // r
+    return k_prime, [-1] * k_prime + [(k_prime + 1) * r - n - 1]
+
+
 class OscReport:
     """Scan outcome for one (M, k, extension degree)."""
 
@@ -511,19 +508,6 @@ class OscReport:
     @property
     def n(self):
         return self.ctx.n
-
-    @property
-    def k_prime(self):
-        return self.n // self.ctx.E.rank
-
-    @property
-    def expected_dim(self):
-        r = self.ctx.E.rank
-        if self.k < self.k_prime:
-            return -1
-        if self.k == self.k_prime:
-            return (self.k + 1) * r - self.n - 1
-        return None
 
     def deficient_point_count(self):
         """Number of subfull points (dim Osc^k < kr)."""
@@ -547,14 +531,15 @@ class OscReport:
                                     "ext_degree": self.ctx.ext_degree})
             return out
 
+        k_prime, dims = expected_dims(self.n, self.ctx.E.rank)
         return {
             "M": self.ctx.base_curve.divisor_to_json(self.ctx.M),
             "k": self.k,
             "ext_degree": self.ctx.ext_degree,
             "n": self.n,
             "d_k": self.d_k,
-            "k_prime": self.k_prime,
-            "expected_dim": self.expected_dim,
+            "k_prime": k_prime,
+            "expected_dim": dims[self.k] if self.k <= k_prime else None,
             "deficient_points": recs_json(self.relative),
             "subfull_points": recs_json(self.subfull),
             "oracle_agreement": self.oracle_agreement,
@@ -647,15 +632,11 @@ def _witness_cross_check(ctx, k, scans, subfull):
     return True
 
 
-def infl_scan(E_spec, M, k, ext_degree=1, sections=None, cross_check=True):
-    """Exhaustive inflection scan of P(E) over F_{q^e} for one twist class."""
-    ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=k, sections=sections)
-    return scan_report(ctx, k, cross_check=cross_check)
-
-
 def sample_scan(E_spec, M, k, points, sections=None):
     """Pointwise probe for infinite base fields: osculating dimensions at the
-    supplied scroll points, with deficiencies relative to the sample maximum."""
+    supplied scroll points, with deficiencies relative to the sample maximum.
+    No CLI command reaches it yet; it stays as the only scan route over the
+    rationals."""
     if sections is None:
         sections = h0(dual_twist(E_spec, M))
     dims = [(x, osc_dim(E_spec, M, x, k, sections=sections)) for x in points]
@@ -664,13 +645,6 @@ def sample_scan(E_spec, M, k, points, sections=None):
             "dims": dims,
             "deficient": [x for x, d in dims if d < d_k],
             "subfull": [x for x, d in dims if d < k * E_spec.rank]}
-
-
-def global_generation_check(E_spec, M):
-    """True iff the twisted dual is globally generated over the rational points;
-    equivalently the k = 0 scan finds no base point."""
-    ctx = ScanContext(E_spec, M, ext_degree=1, k_max=0)
-    return all(ctx.flag(place, 1)[1] == E_spec.rank for place in ctx.places)
 
 
 # --------------------------------------------------------------------------
@@ -715,8 +689,7 @@ def adversarial_projection(E_spec, M, x, m_plus_1, sections=None):
     if sections is None:
         sections = h0(dual_twist(E_spec, M))
     K = E_spec.curve.field
-    jm = jet_matrix(E_spec, M, x, 1, sections=sections)
-    _, kernel = mat_rank_kernel(jm.matrix)
+    _, kernel = mat_rank_kernel(jet_matrix(E_spec, M, x, 1, sections=sections))
     if len(kernel) > m_plus_1:
         raise InputError("projection dimension too small to contain the kernel")
     rows = [list(v) for v in kernel]

@@ -18,8 +18,8 @@ from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import ExactMatrix, mat_rank_kernel
-from .scroll import (ScanContext, ScrollPoint, _classify, lead_vectors,
-                     normalized_series, scan_report)
+from .scroll import (ScanContext, ScrollPoint, _classify, expected_dims,
+                     lead_vectors, normalized_series, scan_report)
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -43,9 +43,8 @@ def kprime_expected_dims(r, d, g, n_override=None, m=None):
     n = n_override if n_override is not None else r * (1 - g) - d - 1
     if n < 1:
         raise InputError(f"system dimension n = {n} must be at least 1")
-    k_prime = n // r
-    expected = {k: (-1 if k < k_prime else (k + 1) * r - n - 1)
-                for k in range(k_prime + 1)}
+    k_prime, dims = expected_dims(n, r)
+    expected = dict(enumerate(dims))
     quot_dims = {k: r * (k + 1) + d + (r + 1) * (g - 1) for k in range(k_prime + 1)}
     incidence_dims = {k: r * (k + 1) - n - 1 for k in range(k_prime + 1)}
     out = {"n": n, "k_prime": k_prime, "expected_dim": expected,
@@ -61,7 +60,8 @@ def kprime_expected_dims(r, d, g, n_override=None, m=None):
 
 def specialcases_ranges(r, d, g):
     """k-ranges where positivity of s_1 forces full osculation (a), where a
-    deficiency is unavoidable (b), and the generic value for the converse (c)."""
+    deficiency is unavoidable (b), and the generic value for the converse (c).
+    No command prints it yet; the tests check the paper's ranges through it."""
     if d > r * (1 - 2 * g):
         raise DomainError("requires degree d <= r(1 - 2g)")
     mu_dual = Fraction(-d, r)
@@ -282,8 +282,8 @@ def quot_tangent_obstruction(E_spec, witness):
     """(h0, h1) of Hom(N, E/N) for a saturated line subbundle witness N.
 
     The quotient class is det(E) - 2N for rank two, so the obstruction space
-    is the h^1 of a single line bundle class.
-    """
+    is the h^1 of a single line bundle class.  No command prints it yet; the
+    obstruction-vanishing acceptance criterion checks it."""
     if E_spec.rank != 2:
         raise InputError("tangent/obstruction bookkeeping is for rank two")
     N_div = witness["class_divisor"]
@@ -516,7 +516,7 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     n = -d - 1
     if n < 1:
         raise DomainError("system dimension must be positive")
-    k_prime = n // r
+    k_prime, dims = expected_dims(n, r)
     M_list = curve.pic0_representatives()
     passing = []
     for M in M_list:
@@ -526,7 +526,7 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     clauses = [{"id": "hypothesis", "pass": True, "end_dim": details["dim"]},
                {"id": "a:dimension", "pass": bool(passing),
                 "fraction": f"{len(passing)}/{len(M_list)}", "n": n}]
-    expected_top = (k_prime + 1) * r - n - 1
+    expected_top = dims[k_prime]
     # the top locus is counted over F_q and, when asked for, over F_{q^2};
     # the finiteness probe compares the F_{q^2} count with that curve's
     # Hasse floor, so it runs only when e = 2 is scanned

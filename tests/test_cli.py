@@ -236,6 +236,31 @@ def test_input_errors_exit_1(tmp_path, capsys):
         code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
         error = json.loads(out)["error"]
         assert code == 1 and error.startswith("InputError") and message in error, record
+    # a bundle without factors, a modification without its point, and an
+    # instance path that is a directory, missing, not UTF-8 or not JSON: one
+    # InputError that names the key and its record, or the path
+    for message, edit in [
+            ("bundle {'modifications': []} has no 'factors' key",
+             lambda d: d["bundle"].pop("factors")),
+            ("has no 'point' key", lambda d: d["bundle"].update(
+                modifications=[{"codirection": ["1", "1"]}]))]:
+        doc = json.loads((INSTANCES / "estar.json").read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        code, out = run_inproc(["osc", "--instance", str(bad)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 1 and error.startswith("InputError") and message in error, message
+    latin1, truncated = tmp_path / "latin1.json", tmp_path / "truncated.json"
+    latin1.write_bytes(b'{"field": "\xe9"}')
+    truncated.write_text('{"field": ')
+    for path, message in [(tmp_path, "Is a directory"),
+                          (tmp_path / "nope.json", "No such file"),
+                          (latin1, "not UTF-8 JSON"),
+                          (truncated, "not UTF-8 JSON")]:
+        code, out = run_inproc(["osc", "--instance", str(path)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 1 and error.startswith("InputError") and message in error \
+            and repr(str(path)) in error, path
 
 
 def test_rational_coefficients_that_do_not_parse_exit_1(tmp_path, capsys):
@@ -260,6 +285,21 @@ def test_division_by_zero_in_the_engine_is_not_an_input_error(monkeypatch, capsy
 
     monkeypatch.setattr(funcfield, "_accumulate", dividing)
     with pytest.raises(ZeroDivisionError):
+        cli.run_command(["osc", "--instance", str(INSTANCES / "estar.json"),
+                         "--k", "0", "--M", "[]"])
+    assert capsys.readouterr().out == ""
+
+
+def test_key_error_in_the_engine_is_not_an_input_error(monkeypatch, capsys):
+    """A KeyError raised inside the engine is a bug, not malformed input: it
+    propagates from run_command, with nothing on stdout."""
+    import scrollinflect.funcfield as funcfield
+
+    def missing(curve, part):
+        raise KeyError("slot")
+
+    monkeypatch.setattr(funcfield, "_accumulate", missing)
+    with pytest.raises(KeyError):
         cli.run_command(["osc", "--instance", str(INSTANCES / "estar.json"),
                          "--k", "0", "--M", "[]"])
     assert capsys.readouterr().out == ""

@@ -149,8 +149,8 @@ def test_rr_basis_respects_divisor_bound(C7, rng):
 
 
 def test_local_expansion_valuations(C7):
-    x = FunctionRep.coordinate_x(C7)
-    y = FunctionRep.coordinate_y(C7)
+    x = FunctionRep(C7, [0, 1], [], [1])
+    y = FunctionRep(C7, [], [1], [1])
     assert x.local_expansion(INFINITY, 2).val == -2
     assert y.local_expansion(INFINITY, 2).val == -3
     v = vertical_line(C7, Place(3, 1))
@@ -163,7 +163,7 @@ def test_local_expansion_valuations(C7):
 
 
 def test_local_expansion_precision_error(C7):
-    x = FunctionRep.coordinate_x(C7)
+    x = FunctionRep(C7, [0, 1], [], [1])
     with pytest.raises(PrecisionError):
         x.local_expansion(INFINITY, -2)      # window ends at the valuation
 
@@ -462,7 +462,7 @@ def test_rr_memo_equals_a_fresh_build(F7):
     most two places of C7 gets the basis, expansion rows and principal
     function that a fresh, equal curve builds from nothing; the rows are
     read after a smaller and then a larger request filled the kept
-    expansions."""
+    monomial expansions (1/h is expanded afresh on every request)."""
     memo = Curve(F7, 0, 2)
     pts = memo.points()
     for D in _small_divisors(memo):

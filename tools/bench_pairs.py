@@ -1,11 +1,12 @@
 """Alternating parent/change benchmark pairs, written as BENCH_<N>.json.
 
-    python3 tools/bench_pairs.py --parent HEAD --out BENCH_11.json \\
-        --workloads witness-crosscheck=10 threshold-verify=10 projection-scan=10
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_12.json \\
+        --workloads threshold-verify witness-crosscheck projection-scan
 
 The parent is exported from git (`git archive`) into a temporary directory;
-the change is this checkout's working tree.  Each pair runs
-`perfbench/run.py --trace 0` once in each checkout, one process at a time,
+the change is this checkout's working tree.  Every workload gets PAIRS = 10
+pairs, the fewest on which a gain or a no-regression result can rest.  Each
+pair runs `perfbench/run.py --trace 0` once in each checkout, one at a time,
 on the same seed and for BENCHMARK.json's run_seconds (the run length is
 the benchmark's, not the runner's); the side that runs first alternates
 (parent first on even pair index), so a drift of host speed during a pair
@@ -33,6 +34,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED_BASE = 10000
+PAIRS = 10
 
 
 def export(rev, dest):
@@ -83,19 +85,16 @@ def summarize(runs, directions):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
-    parser.add_argument("--workloads", nargs="+", required=True, metavar="NAME=PAIRS")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    parser.add_argument("--workloads", nargs="+", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--host", default="", help="a line describing the host")
     parser.add_argument("--what", default="", help="a line describing the change")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
     seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    plan = []
-    for spec in args.workloads:
-        name, _, pairs = spec.partition("=")
-        plan.append((name, int(pairs or 1)))
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S "
                       f"--seconds {seconds:g} --trace 0",
            "host": args.host,
@@ -106,9 +105,9 @@ def main(argv=None):
            "what": args.what, "runs": {}, "summary": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         doc["parent_commit"], parent = export(args.parent, tmp)
-        for w, (workload, pairs) in enumerate(plan):
+        for w, workload in enumerate(args.workloads):
             runs = doc["runs"][workload] = {}
-            for i in range(pairs):
+            for i in range(PAIRS):
                 seed = SEED_BASE + 100 * w + i + 1
                 sides = [("parent", parent), ("change", ROOT)]
                 if i % 2:
