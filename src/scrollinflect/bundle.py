@@ -20,8 +20,8 @@ field elements.  Those tables are built in the factored form rr_basis
 returns: every function of a factor's basis is b * (1/h) with b a
 monomial x^i, x^i y or the simple-pole function, so each b is expanded
 once per place and kept on the curve (funcfield's Riemann-Roch memo),
-1/h is expanded once per table, and each row is their truncated
-product.  The products b * (1/h) themselves are formed only where
+1/h is expanded once per table (unless it is 1), and each row is
+their truncated product.  The products b * (1/h) are formed only where
 functions are read (`SectionBasis.vectors`).  Every section's
 components are exact linear combinations of those lists
 (`section_coeffs`), and the fibre scans read them in that form, with no
@@ -32,7 +32,7 @@ t^prec, so every coefficient read is the one the summed function gives.
 Base change to F_{q^e} converts no values (fields.py): by flat base change
 H^0 over F_{q^e} is the lift of H^0 over F_q, so an extension scan
 computes the sections over the base curve and lifts them through one
-`base_change(e)`, which BundleSpec, FunctionRep, AmbientBasis and
+`base_change(e)`, which BundleSpec, RRBasis, AmbientBasis and
 SectionBasis each provide: it keeps every factor, condition, polynomial
 and coefficient row and only swaps in `curve.base_change(e)`.
 """
@@ -44,7 +44,7 @@ from itertools import combinations
 from .curve import Divisor
 from .errors import InputError, PrecisionError, Unsupported
 from .funcfield import FunctionRep, rr_basis
-from .linalg import ExactMatrix, mat_rank_kernel, rref
+from .linalg import mat_inverse, mat_rank_kernel
 
 
 class Modification:
@@ -200,17 +200,16 @@ def wedge(spec, n):
 def _complement_basis(field, covector):
     """Reduced-echelon basis of the hyperplane covector^perp; for a direction
     these are the covectors cutting 'value lies on the line through it'."""
-    m = ExactMatrix.from_rows(field, [list(covector)])
-    return mat_rank_kernel(m)[1]
+    return mat_rank_kernel(field, [covector], len(covector))[1]
 
 
 def fiber_frame(spec, place):
     """Frame data for the fibre E|_p.
 
     Returns None at an unconditioned place (standard normalized frame).
-    At a place carrying one simple condition c it returns (B, Binv): the
-    columns of B are b_1 with c.b_1 != 0 and a reduced basis b_2.. of
-    c^perp; the trivializing frame of E there is [t*b_1, b_2, ..., b_r].
+    At a place carrying one simple condition c it returns (B's columns,
+    B^-1's rows): B's columns are b_1 with c.b_1 != 0 and a reduced basis
+    b_2.. of c^perp, and E's trivializing frame there is [t*b_1, b_2, ..].
     """
     mods = spec.mods_at(place)
     if not mods:
@@ -222,21 +221,7 @@ def fiber_frame(spec, place):
     pivot = next(i for i, v in enumerate(c) if v != K.zero)
     cols = [[K.one if i == pivot else K.zero for i in range(spec.rank)]]
     cols.extend(_complement_basis(K, c))
-    B = ExactMatrix(K, spec.rank, spec.rank,
-                    [[cols[j][i] for j in range(spec.rank)] for i in range(spec.rank)])
-    return B, mat_inverse(B)
-
-
-def mat_inverse(m):
-    K = m.field
-    n = m.rows
-    aug = ExactMatrix(K, n, 2 * n,
-                      [m.data[i] + [K.one if j == i else K.zero for j in range(n)]
-                       for i in range(n)])
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise InputError("matrix is singular")
-    return ExactMatrix(K, n, n, [r[n:] for r in rows])
+    return cols, mat_inverse(K, list(zip(*cols)))
 
 
 def elementary_transform(spec, place, direction):
@@ -260,8 +245,7 @@ def elementary_transform(spec, place, direction):
         for w in _complement_basis(K, direction):
             new_mods.append(Modification(place, [(0, w)]))
     else:
-        _, Binv = frame
-        row = Binv.data
+        _, row = frame                # the rows of B^-1
         # polar coefficient must stay proportional to the direction: one
         # membership condition plus the span conditions, both through B^{-1}
         new_mods.append(Modification(place, [(0, tuple(row[0]))]))
@@ -449,12 +433,7 @@ def h0(spec, twist=None):
                     acc = K.add(acc, K.mul(cov[slot], coeffs[order]))
             row.append(acc)
         rows.append(row)
-    if rows:
-        _, kernel = mat_rank_kernel(ExactMatrix.from_rows(K, rows))
-    else:
-        kernel = [[K.one if j == i else K.zero for j in range(len(slots))]
-                  for i in range(len(slots))]
-    return SectionBasis(spec, ambient, kernel)
+    return SectionBasis(spec, ambient, mat_rank_kernel(K, rows, len(slots))[1])
 
 
 def chi_h1(spec, twist=None):

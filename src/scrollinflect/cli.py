@@ -287,9 +287,16 @@ def cmd_verify(inst, args):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is an InputError (exit 1, one JSON document), not
+    argparse's usage text on stderr and exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="scroll-inflect",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="scroll-inflect", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, instance=True):
@@ -335,18 +342,16 @@ _DISPATCH = {
 
 def run_command(argv):
     """Parse, dispatch, emit; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "bounds":
             emit(cmd_bounds(args))
             return 0
         inst = load_instance(args.instance, args)
         emit(_DISPATCH[args.command](inst, args))
         return 0
+    except SystemExit as e:                   # --help, printed by argparse
+        return int(e.code or 0)
     except InvariantViolation as e:
         emit({"error": str(e), "kind": "invariant-violation"})
         return 2

@@ -221,12 +221,6 @@ class FunctionRep:
         K = self.curve.field
         return FunctionRep(self.curve, pscal(K, c, self.n0), pscal(K, c, self.n1), self.d0)
 
-    def base_change(self, e):
-        """The same function over F_{q^e}."""
-        if e == 1:
-            return self
-        return FunctionRep._wrap(self.curve.base_change(e), self.n0, self.n1, self.d0)
-
     # -- evaluation and expansion --------------------------------------------------
     def evaluate(self, place):
         """Exact value at an affine place where the denominator does not vanish."""
@@ -538,7 +532,7 @@ class _RRData:
     """What the curve keeps of one nonzero L(D), as plain data: hinv = 1/h
     as normalised polynomial tuples (n0, n1, d0), the monomial keys and the
     target divisor.  hinv's expansions are not kept: each normalized_rows
-    call expands it afresh."""
+    call expands it afresh, unless hinv = 1."""
 
     __slots__ = ("hinv", "keys", "target")
 
@@ -610,9 +604,9 @@ class RRBasis(Sequence):
 
         With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
         that series is (t^a b) * (t^-v hinv): a power series times a unit.
-        So hinv is expanded mod t^(prec + v) on each call, each b mod
-        t^(prec - a) (kept per curve and place; an expansion b lacks at that
-        precision is a zero row), and each row is one truncated product.
+        So hinv is expanded mod t^(prec + v) on each call unless it is 1, each
+        b mod t^(prec - a) (kept per curve and place; an expansion b lacks at
+        that precision is a zero row), and each row is one truncated product.
         """
         K = self.curve.field
         zero = K.zero
@@ -621,13 +615,16 @@ class RRBasis(Sequence):
         if data is None or prec <= 0:
             return rows
         a = data.target.mult(place)
-        v = a - self.D.mult(place)
-        hinv = FunctionRep._wrap(self.curve, *data.hinv)
-        unit = hinv.local_expansion(place, prec + v)
-        if unit.val != v:
-            raise InvariantViolation(
-                f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
-        u = unit.coeffs
+        if data.target == self.D:         # h = 1: the unit is 1, nothing to expand
+            u = [K.one]
+        else:
+            v = a - self.D.mult(place)
+            hinv = FunctionRep._wrap(self.curve, *data.hinv)
+            unit = hinv.local_expansion(place, prec + v)
+            if unit.val != v:
+                raise InvariantViolation(
+                    f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
+            u = unit.coeffs
         for row, key in zip(rows, data.keys):
             exp = _monomial_expansion(self.curve, key, place, prec - a)
             if exp is None:

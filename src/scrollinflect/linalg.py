@@ -1,7 +1,9 @@
-"""Dense exact linear algebra: rank, reduced echelon form, kernels.
-
-Pivoting is deterministic (leftmost nonzero column, first nonzero row) so
-kernels and echelon forms are reproducible across runs.
+"""Dense exact linear algebra on lists of rows: rank, reduced echelon form,
+kernels, inverses.  A matrix is its list of rows of raw field values, with
+the field and the column count passed beside it (no rows is the zero map,
+whose kernel is all of K^ncols); input rows are never modified.  Pivoting
+is deterministic (leftmost nonzero column, first nonzero row) so kernels
+and echelon forms are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -9,53 +11,11 @@ from __future__ import annotations
 from .errors import InputError
 
 
-class ExactMatrix:
-    """Dense matrix over one exact field; rows stored as lists of raw values."""
-
-    def __init__(self, field, rows, cols, entries=None):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            self.data = [[field.zero] * cols for _ in range(rows)]
-        else:
-            entries = list(entries)
-            if len(entries) == rows and rows and isinstance(entries[0], (list, tuple)):
-                self.data = [list(r) for r in entries]
-                if any(len(r) != cols for r in self.data):
-                    raise InputError("ragged row in matrix entries")
-            else:
-                if len(entries) != rows * cols:
-                    raise InputError("entry count does not match rows*cols")
-                self.data = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        rows = [list(r) for r in rows]
-        cols = len(rows[0]) if rows else 0
-        return cls(field, len(rows), cols, rows)
-
-    def transpose(self):
-        return ExactMatrix(self.field, self.cols, self.rows,
-                           [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def is_zero(self):
-        z = self.field.zero
-        return all(v == z for row in self.data for v in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, ExactMatrix) and other.field == self.field
-                and other.data == self.data)
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-def rref(matrix):
-    """Reduced row echelon form; returns (echelon rows, pivot column list)."""
-    K = matrix.field
-    rows = [r[:] for r in matrix.data]
-    nrows, ncols = matrix.rows, matrix.cols
+def rref(K, rows, ncols):
+    """Reduced row echelon form of the rows (each ncols long) over K;
+    returns (echelon rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -80,20 +40,30 @@ def rref(matrix):
     return rows, pivots
 
 
-def mat_rank_kernel(matrix):
+def mat_rank_kernel(K, rows, ncols):
     """Rank and a reduced-echelon-normalized basis of the right kernel."""
-    K = matrix.field
-    rows, pivots = rref(matrix)
+    rows, pivots = rref(K, rows, ncols)
     rank = len(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivots]
+    free = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for fc in free:
-        v = [K.zero] * matrix.cols
+        v = [K.zero] * ncols
         v[fc] = K.one
         for i, pc in enumerate(pivots):
             v[pc] = K.neg(rows[i][fc])
         kernel.append(v)
     return rank, kernel
+
+
+def mat_inverse(K, rows):
+    """The rows of the inverse of a square matrix; InputError if singular."""
+    n = len(rows)
+    aug = [list(row) + [K.one if j == i else K.zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    echelon, pivots = rref(K, aug, 2 * n)
+    if pivots != list(range(n)):
+        raise InputError("matrix is singular")
+    return [r[n:] for r in echelon]
 
 
 class EchelonAccumulator:

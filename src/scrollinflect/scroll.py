@@ -50,7 +50,7 @@ from .bundle import (SectionBasis, dual_twist, elementary_transform,
                      fiber_frame, h0, normalized_series)
 from .curve import single
 from .errors import InputError, InvariantViolation, Unsupported
-from .linalg import EchelonAccumulator, ExactMatrix, mat_rank_kernel
+from .linalg import EchelonAccumulator, mat_rank_kernel
 
 _ORACLE_SAMPLES = 2         # fibres on which scan_report runs the pole-counting route
 
@@ -155,9 +155,8 @@ def alpha_series(E_spec, sections, place, k_max):
     frame = fiber_frame(E_spec, place)
     if frame is None:
         return sections.section_coeffs(place, k_max + 1)
-    columns = frame[0].transpose().data
     raised = range(1, E_spec.rank)
-    return [_frame_coords(E_spec.curve.field, columns, comps, raised,
+    return [_frame_coords(E_spec.curve.field, frame[0], comps, raised,
                           "dual section has an illegal polar part at a modified place")
             for comps in sections.section_coeffs(place, k_max + 2)]
 
@@ -170,9 +169,8 @@ def lead_vectors(E_spec, place, coeffs):
     frame = fiber_frame(E_spec, place)
     if frame is None:
         return [tuple(comp[0] for comp in comps) for comps in coeffs]
-    rows = frame[1].data
     return [tuple(z[0] for z in _frame_coords(
-                E_spec.curve.field, rows, comps, (0,),
+                E_spec.curve.field, frame[1], comps, (0,),
                 "section violates the carried condition at a modified place"))
             for comps in coeffs]
 
@@ -191,8 +189,7 @@ def order_matrices(E_spec, sections, place, k_max):
 
 def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
                uniformiser_scale=None):
-    """The (kr+1) x (n+1) Taylor-coefficient matrix at x, exact, as an
-    ExactMatrix.
+    """The (kr+1) x (n+1) Taylor-coefficient matrix at x, exact, as rows.
 
     Rows: first the pure orders (j, 1) for 0 <= j <= k, then for each
     order 0 <= l <= k-1 the mixed rows over the completion directions.
@@ -215,8 +212,7 @@ def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
     if len(completion) != r - 1:
         raise InputError("completion must supply r - 1 directions")
     frame_rows = [list(v)] + [list(w) for w in completion]
-    A = ExactMatrix.from_rows(K, frame_rows)
-    if mat_rank_kernel(A)[0] != r:
+    if mat_rank_kernel(K, frame_rows, r)[0] != r:
         raise InputError("direction and completion do not form a frame")
     alphas = alpha_series(E_spec, sections, x.place, k)
     ncols = len(alphas)
@@ -235,12 +231,13 @@ def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
     for ell in range(k):
         for widx in range(1, r):
             rows.append([coeff(combos[c][widx], ell) for c in range(ncols)])
-    return ExactMatrix.from_rows(K, rows) if rows else ExactMatrix(K, 0, ncols)
+    return rows
 
 
 def osc_dim(E_spec, M, x, k, sections=None):
     """dim Osc^k at x (-1 when the point is a base point of the system)."""
-    return mat_rank_kernel(jet_matrix(E_spec, M, x, k, sections=sections))[0] - 1
+    rows = jet_matrix(E_spec, M, x, k, sections=sections)
+    return mat_rank_kernel(E_spec.curve.field, rows, len(rows[0]))[0] - 1
 
 
 def osc_dim_oracle(E_spec, M, x, k):
@@ -386,7 +383,7 @@ class PlaceScan:
             return "none", []
         if self.base_rank + 1 < threshold or not self.has_top:
             return "all", []
-        basis = mat_rank_kernel(ExactMatrix.from_rows(self.field, zip(*self.T)))[1]
+        basis = mat_rank_kernel(self.field, zip(*self.T), len(self.T))[1]
         if not basis:
             return "none", []
         return "subspace", [tuple(v) for v in basis]
@@ -484,12 +481,17 @@ class FiberDeficiency:
         self.fiber_size = fiber_size
 
 
+def incidence_dim(n, r, k):
+    """(k + 1) r - n - 1, for a system of dimension n and rank r at order k."""
+    return (k + 1) * r - n - 1
+
+
 def expected_dims(n, r):
     """(k', dims) for a complete system of dimension n and rank r: the top
     jet order k' = n // r, and for k = 0..k' the expected dimension of the
-    k-th inflection locus, -1 (empty) below k' and (k' + 1) r - n - 1 at k'."""
+    k-th inflection locus, -1 (empty) below k' and incidence_dim at k'."""
     k_prime = n // r
-    return k_prime, [-1] * k_prime + [(k_prime + 1) * r - n - 1]
+    return k_prime, [-1] * k_prime + [incidence_dim(n, r, k_prime)]
 
 
 class OscReport:
@@ -666,8 +668,7 @@ def project_system(sections, m_plus_1, seed):
     while True:
         rows = [[rng.choice(elements) for _ in range(n_plus_1)]
                 for _ in range(m_plus_1)]
-        m = ExactMatrix.from_rows(K, rows)
-        if mat_rank_kernel(m)[0] == m_plus_1:
+        if mat_rank_kernel(K, rows, n_plus_1)[0] == m_plus_1:
             break
     return _combo_basis(sections, rows)
 
@@ -689,7 +690,8 @@ def adversarial_projection(E_spec, M, x, m_plus_1, sections=None):
     if sections is None:
         sections = h0(dual_twist(E_spec, M))
     K = E_spec.curve.field
-    _, kernel = mat_rank_kernel(jet_matrix(E_spec, M, x, 1, sections=sections))
+    _, kernel = mat_rank_kernel(K, jet_matrix(E_spec, M, x, 1, sections=sections),
+                                sections.dimension)
     if len(kernel) > m_plus_1:
         raise InputError("projection dimension too small to contain the kernel")
     rows = [list(v) for v in kernel]

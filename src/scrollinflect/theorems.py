@@ -17,9 +17,9 @@ from .bundle import chi_h1, dual_twist, h0, wedge
 from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
-from .linalg import ExactMatrix, mat_rank_kernel
+from .linalg import mat_rank_kernel
 from .scroll import (ScanContext, ScrollPoint, _classify, expected_dims,
-                     lead_vectors, normalized_series, scan_report)
+                     incidence_dim, lead_vectors, normalized_series, scan_report)
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -46,15 +46,15 @@ def kprime_expected_dims(r, d, g, n_override=None, m=None):
     k_prime, dims = expected_dims(n, r)
     expected = dict(enumerate(dims))
     quot_dims = {k: r * (k + 1) + d + (r + 1) * (g - 1) for k in range(k_prime + 1)}
-    incidence_dims = {k: r * (k + 1) - n - 1 for k in range(k_prime + 1)}
+    incidence_dims = {k: incidence_dim(n, r, k) for k in range(k_prime + 1)}
     out = {"n": n, "k_prime": k_prime, "expected_dim": expected,
            "quot_dim": quot_dims, "incidence_dim": incidence_dims}
     if m is not None:
         if not (0 < m < n):
             raise InputError("need 0 < m < n")
-        k_m = m // r
+        k_m, dims_m = expected_dims(m, r)
         out["k_prime_m"] = k_m
-        out["projected_expected_dim"] = r + k_m * r - m - 1
+        out["projected_expected_dim"] = dims_m[k_m]
     return out
 
 
@@ -587,7 +587,7 @@ def _center_avoids(ctx, k_m, coeff_rows):
     context's flag at that order.
     """
     K = ctx.curve.field
-    centers = mat_rank_kernel(ExactMatrix.from_rows(K, coeff_rows))[1]
+    centers = mat_rank_kernel(K, coeff_rows, len(coeff_rows[0]))[1]
     for place in ctx.places:
         acc, rank = ctx.flag(place, k_m)
         if not all(any(c != K.zero for c in acc.residue(w, rank)) for w in centers):

@@ -261,6 +261,15 @@ def test_input_errors_exit_1(tmp_path, capsys):
         error = json.loads(out)["error"]
         assert code == 1 and error.startswith("InputError") and message in error \
             and repr(str(path)) in error, path
+    # malformed argv: one JSON error and exit 1, not argparse's usage and exit 2
+    for argv, message in [(["osc"], "required: --instance"),
+                          (["osc", "--instance", estar, "--k", "x"], "--k: invalid int"),
+                          (["nope"], "invalid choice: 'nope'"),
+                          (["verify", "nope"], "invalid choice: 'nope'")]:
+        code, out = run_inproc(argv, capsys)
+        error = json.loads(out)["error"]
+        assert code == 1 and error.startswith("InputError") and message in error, argv
+    assert run_inproc(["osc", "--help"], capsys)[0] == 0
 
 
 def test_rational_coefficients_that_do_not_parse_exit_1(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""tools/sweep.py: the byte-identity sweep lists 179 commands, and a command
+"""tools/sweep.py: the byte-identity sweep lists 221 commands, and a command
 hashes the same stdout on a second run."""
 
 import sys
@@ -8,13 +8,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import sweep  # noqa: E402
 
 
-def test_sweep_lists_179_distinct_commands(tmp_path):
+def test_sweep_lists_221_distinct_commands(tmp_path):
     cmds = sweep.commands(str(tmp_path))
-    assert len(cmds) == 179
-    assert len({label for label, _ in cmds}) == 179
+    assert len(cmds) == 221
+    assert len({label for label, _ in cmds}) == 221
     assert sum(1 for label, _ in cmds if label.startswith("perfbench ")) == 26
+    assert sum(1 for _, argv in cmds if argv[0] == "bounds") == 24
+    for command in ("curve-info", "hypothesis-nilpotent"):
+        assert sum(1 for _, argv in cmds if argv[0] == command) == 9
     for _, argv in cmds:
-        assert Path(argv[argv.index("--instance") + 1]).is_file()
+        if argv[0] == "bounds":
+            assert "--instance" not in argv
+        else:
+            assert Path(argv[argv.index("--instance") + 1]).is_file()
 
 
 def test_a_cheap_command_hashes_the_same_twice(tmp_path):

@@ -1,13 +1,15 @@
-"""Byte-identity sweep: the stdout SHA-256 and exit code of 179 CLI commands.
+"""Byte-identity sweep: the stdout SHA-256 and exit code of 221 CLI commands.
 
     python3 tools/sweep.py                   # this checkout's working tree
     python3 tools/sweep.py --against HEAD    # and a committed revision, compared
 
 The commands are, on each of the three `instances/` at `--ext` 1, 2 and 3:
 `osc`, `scan` and `witnesses` with `--M all` at k = 0, 1, 2;
-`segre --method bruteforce`; `sections --M all`; `project --m 3 --k 2`; and
-`verify` mainA, mainB, mainBmod, mainC and `appendixA --m 3 --seeds 6`
-(153 commands).  Then the 26 perfbench tasks of seed 1, pass 0 (ten
+`segre --method bruteforce`; `sections --M all`; `project --m 3 --k 2`;
+`curve-info`; `hypothesis-nilpotent`; and `verify` mainA, mainB, mainBmod,
+mainC and `appendixA --m 3 --seeds 6` (171 commands).  Then `bounds`, which
+reads no instance, on r = 2, 3, d = -9 .. -4 and g = 1, without and with
+`--m 3` (24 commands).  Then the 26 perfbench tasks of seed 1, pass 0 (ten
 threshold-verify, ten witness-crosscheck, six projection-scan), with the
 argv their workload gives.
 
@@ -38,7 +40,7 @@ BENCH_SEED = 1
 
 
 def instance_commands():
-    """The 153 commands on the committed instances: (label, argv)."""
+    """The 171 commands on the committed instances: (label, argv)."""
     out = []
     for name in INSTANCES:
         path = os.path.join(ROOT, "instances", name + ".json")
@@ -47,10 +49,22 @@ def instance_commands():
             argvs = [[cmd, "--M", "all", "--k", str(k)]
                      for cmd in ("osc", "scan", "witnesses") for k in (0, 1, 2)]
             argvs += [["segre", "--method", "bruteforce"], ["sections", "--M", "all"],
-                      ["project", "--m", "3", "--k", "2"]]
+                      ["project", "--m", "3", "--k", "2"], ["curve-info"],
+                      ["hypothesis-nilpotent"]]
             argvs += [["verify", t] for t in ("mainA", "mainB", "mainBmod", "mainC")]
             argvs.append(["verify", "appendixA", "--m", "3", "--seeds", "6"])
             out += [(f"{name} ext {e}: {' '.join(a)}", a + tail) for a in argvs]
+    return out
+
+
+def bounds_commands():
+    """The 24 `bounds` commands: (label, argv)."""
+    out = []
+    for r in (2, 3):
+        for d in range(-9, -3):
+            for tail in ([], ["--m", "3"]):
+                argv = ["bounds", "--r", str(r), "--d", str(d), "--g", "1"] + tail
+                out.append((" ".join(argv), argv))
     return out
 
 
@@ -69,7 +83,7 @@ def bench_commands(workdir):
 
 
 def commands(workdir):
-    return instance_commands() + bench_commands(workdir)
+    return instance_commands() + bounds_commands() + bench_commands(workdir)
 
 
 def run(tree, argv):
