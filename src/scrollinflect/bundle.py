@@ -13,28 +13,28 @@ place.  Twisted global sections are computed exactly: ambient sections
 come from Riemann-Roch bases factor by factor, and each condition
 contributes one linear row.
 
-A SectionBasis is a coefficient matrix over that ambient basis, never a
-list of summed functions.  The ambient functions are expanded once per
-place, at the largest precision asked for, and kept as plain lists of
-field elements.  Those tables are built in the factored form rr_basis
-returns: every function of a factor's basis is b * (1/h) with b a
-monomial x^i, x^i y or the simple-pole function, so each b is expanded
-once per place and kept on the curve (funcfield's Riemann-Roch memo),
-1/h is expanded once per table (unless it is 1), and each row is
-their truncated product.  The products b * (1/h) are formed only where
-functions are read (`SectionBasis.vectors`).  Every section's
-components are exact linear combinations of those lists
-(`section_coeffs`), and the fibre scans read them in that form, with no
-series object built; subsystems (random or adversarial projections)
-share the ambient basis and its expansions.  Expansion is linear modulo
-t^prec, so every coefficient read is the one the summed function gives.
+A SectionBasis is a coefficient matrix over the Riemann-Roch bases of
+L(D_i + twist), one per factor, never a list of summed functions.  The
+bases come from rr_basis in factored form: every function is b * (1/h)
+with b a monomial x^i, x^i y or the simple-pole function.  Their
+normalized expansions are rows of plain field elements, kept in the
+curve's Riemann-Roch memo once per (divisor, place) at the largest
+precision asked for (funcfield.RRBasis.normalized_rows); this module
+keeps no cache of its own.  The products b * (1/h) are formed only where
+functions are read (`SectionBasis.vectors`).  Every section's components
+are exact linear combinations of those rows (`section_coeffs`), and the
+fibre scans read them in that form, with no series object built;
+subsystems (random or adversarial projections) share the bases, so they
+read the rows the full system made.  Expansion is linear modulo t^prec,
+so every coefficient read is the one the summed function gives.
 
 Base change to F_{q^e} converts no values (fields.py): by flat base change
 H^0 over F_{q^e} is the lift of H^0 over F_q, so an extension scan
 computes the sections over the base curve and lifts them through one
-`base_change(e)`, which BundleSpec, RRBasis, AmbientBasis and
-SectionBasis each provide: it keeps every factor, condition, polynomial
-and coefficient row and only swaps in `curve.base_change(e)`.
+`base_change(e)`, which BundleSpec, RRBasis and SectionBasis each
+provide: it keeps every factor, condition, polynomial and coefficient row
+and only swaps in `curve.base_change(e)`.  Lifted bases of one divisor
+share one memo entry on the extension curve.
 """
 
 from __future__ import annotations
@@ -116,11 +116,6 @@ class BundleSpec:
                 raise InputError("modification places must be pairwise distinct")
             seen.add(mod.place)
         return self
-
-    def twist(self, A):
-        """The same conditions over factors D_i + A (the bundle E(A))."""
-        return BundleSpec(self.curve, [f.add(A) for f in self.factors],
-                          self.modifications)
 
     def mods_at(self, place):
         return [m for m in self.modifications if m.place == place]
@@ -285,114 +280,64 @@ def normalized_series(f, place, shift, prec):
     return out
 
 
-class AmbientBasis:
-    """The (slot, f) pairs with f running through a Riemann-Roch basis of
-    L(D_slot + twist), for each factor D_slot of a bundle; `bases` holds
-    those bases, one per slot, in the factored form rr_basis returns, and
-    `slots` the slot of each pair.  The functions f are formed only when
-    `pairs` is read; the tables and h0 need only the slots.
+class SectionBasis:
+    """Basis of H^0 of a twisted bundle, as a coefficient matrix over the
+    Riemann-Roch bases of its factors: bases[slot] spans L(D_slot + twist),
+    `slots` gives the slot of each of their functions in order, and row c
+    holds the coefficients of section c on those functions."""
 
-    Normalized expansions are computed once per place, at the largest
-    precision asked for so far, and truncated for smaller requests: the
-    coefficient tables of t^0 .. t^(prec-1) are what every section basis
-    over this ambient list combines.  A table is built factor by factor
-    (funcfield.RRBasis.normalized_rows): each slot's 1/h is expanded once
-    per table, each x^i, x^i y or simple-pole numerator comes from one
-    expansion kept on the curve, and each row is their product.
-    """
-
-    def __init__(self, curve, factors, twist, bases):
-        self.curve = curve
-        self.factors = factors
+    def __init__(self, spec, twist, bases, coeffs):
+        self.spec = spec
         self.twist = twist
         self.bases = bases
-        self.slots = [slot for slot, basis in enumerate(bases) for _ in range(len(basis))]
-        self._tables = {}          # place -> (prec, one coefficient list per pair)
-        self._base_changes = {}    # e -> the same pairs over F_{q^e}
-
-    @property
-    def pairs(self):
-        """The (slot, f) pairs; reading them forms each product b * (1/h)."""
-        return [(slot, f) for slot, basis in enumerate(self.bases) for f in basis]
-
-    def shift(self, slot, place):
-        return self.twist.mult(place) + self.factors[slot].mult(place)
-
-    def table(self, place, prec):
-        got = self._tables.get(place)
-        if got is None or got[0] < prec:
-            rows = [row for basis in self.bases
-                    for row in basis.normalized_rows(place, prec)]
-            got = (prec, rows)
-            self._tables[place] = got
-        return got[1]
-
-    def base_change(self, e):
-        """The same pairs over F_{q^e}, built once per degree."""
-        if e == 1:
-            return self
-        lifted = self._base_changes.get(e)
-        if lifted is None:
-            lifted = AmbientBasis(self.curve.base_change(e), self.factors, self.twist,
-                                  [basis.base_change(e) for basis in self.bases])
-            self._base_changes[e] = lifted
-        return lifted
-
-
-class SectionBasis:
-    """Basis of H^0 of a twisted bundle, as a coefficient matrix over an
-    ambient basis: row c holds the coefficients of section c on the pairs."""
-
-    def __init__(self, spec, ambient, coeffs):
-        self.spec = spec
-        self.ambient = ambient
         self.coeffs = coeffs
-        self._vectors = None
+        self.slots = [slot for slot, basis in enumerate(bases) for _ in range(len(basis))]
 
     @property
     def dimension(self):
         return len(self.coeffs)
 
     @property
-    def twist(self):
-        return self.ambient.twist
-
-    @property
     def vectors(self):
-        """Each section as a vector of functions, summed on first use."""
-        if self._vectors is None:
-            K = self.spec.curve.field
-            zero = FunctionRep.zero(self.spec.curve)
-            pairs = self.ambient.pairs
-            self._vectors = []
-            for row in self.coeffs:
-                vec = [zero] * self.spec.rank
-                for c, (slot, f) in zip(row, pairs):
-                    if c != K.zero:
-                        vec[slot] = vec[slot].add(f.scalar_mul(c))
-                self._vectors.append(tuple(vec))
-        return self._vectors
+        """Each section as a vector of functions, summed on each read from
+        the products b * (1/h) of the bases."""
+        K = self.spec.curve.field
+        zero = FunctionRep.zero(self.spec.curve)
+        pairs = [(slot, f) for slot, basis in enumerate(self.bases) for f in basis]
+        out = []
+        for row in self.coeffs:
+            vec = [zero] * self.spec.rank
+            for c, (slot, f) in zip(row, pairs):
+                if c != K.zero:
+                    vec[slot] = vec[slot].add(f.scalar_mul(c))
+            out.append(tuple(vec))
+        return out
 
     def component_shift(self, i, place):
-        return self.ambient.shift(i, place)
+        return self.bases[i].D.mult(place)
+
+    def table(self, place, prec):
+        """The normalized rows of every basis function, slot by slot, read
+        from the curve's Riemann-Roch memo (RRBasis.normalized_rows)."""
+        return [row for basis in self.bases for row in basis.normalized_rows(place, prec)]
 
     def base_change(self, e):
-        """The same coefficient rows over the ambient basis lifted to F_{q^e}."""
+        """The same coefficient rows over the bases lifted to F_{q^e}."""
         if e == 1:
             return self
-        return SectionBasis(self.spec.base_change(e), self.ambient.base_change(e),
-                            self.coeffs)
+        return SectionBasis(self.spec.base_change(e), self.twist,
+                            [basis.base_change(e) for basis in self.bases], self.coeffs)
 
     def section_coeffs(self, place, prec):
         """Per section, the r normalized components as lists of their
         coefficients of t^0 .. t^(prec-1)."""
         K = self.spec.curve.field
         zero = K.zero
-        table = self.ambient.table(place, prec)
+        table = self.table(place, prec)
         out = []
         for row in self.coeffs:
             comps = [[zero] * prec for _ in range(self.spec.rank)]
-            for c, slot, coeffs in zip(row, self.ambient.slots, table):
+            for c, slot, coeffs in zip(row, self.slots, table):
                 if c == zero:
                     continue
                 acc = comps[slot]
@@ -412,19 +357,19 @@ class SectionBasis:
 
 def h0(spec, twist=None):
     """Exact basis of H^0(C, E(twist)) for a presented bundle E: the kernel of
-    the condition rows on the ambient basis of the split bundle."""
+    the condition rows on the Riemann-Roch bases of the split bundle."""
     curve = spec.curve
     K = curve.field
     if twist is None:
         twist = Divisor()
-    ambient = AmbientBasis(curve, spec.factors, twist,
-                           [rr_basis(curve, factor.add(twist)) for factor in spec.factors])
-    slots = ambient.slots
+    bases = [rr_basis(curve, factor.add(twist)) for factor in spec.factors]
+    sections = SectionBasis(spec, twist, bases, [])
+    slots = sections.slots
     if not slots:
-        return SectionBasis(spec, ambient, [])
+        return sections
     rows = []
     for mod in spec.modifications:
-        table = ambient.table(mod.place, mod.max_order + 1)
+        table = sections.table(mod.place, mod.max_order + 1)
         row = []
         for slot, coeffs in zip(slots, table):
             acc = K.zero
@@ -433,7 +378,7 @@ def h0(spec, twist=None):
                     acc = K.add(acc, K.mul(cov[slot], coeffs[order]))
             row.append(acc)
         rows.append(row)
-    return SectionBasis(spec, ambient, mat_rank_kernel(K, rows, len(slots))[1])
+    return SectionBasis(spec, twist, bases, mat_rank_kernel(K, rows, len(slots))[1])
 
 
 def chi_h1(spec, twist=None):

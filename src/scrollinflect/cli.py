@@ -209,7 +209,7 @@ def cmd_project(inst, args):
     out = []
     for M in inst.twists:
         V = h0(dual_twist(inst.bundle, M))
-        W = project_system(V, inst.m, inst.seed)
+        W, _ = project_system(V, inst.m, inst.seed)
         ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree,
                           k_max=inst.k, sections=W)
         reports = [scan_report(ctx, k, cross_check=False).to_json()

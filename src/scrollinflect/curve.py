@@ -38,6 +38,12 @@ class Place:
 
 INFINITY = Place()
 
+# Largest |multiplicity| at a place of a divisor read from input: L(D) has
+# deg D basis functions and principal_function takes one Miller step per unit
+# at an affine place.  64 is over six times the largest multiplicity of any
+# committed instance or benchmark input (10); 2^40 would never finish.
+_MULT_MAX = 64
+
 
 class Divisor:
     """Formal Z-combination of places, held as a support map."""
@@ -369,7 +375,10 @@ class Curve:
             mult = rec["mult"]
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise InputError(f"divisor multiplicity {mult!r} is not an integer")
-            D.add_place(self.place_from_json(rec["point"]), mult)
+            place = self.place_from_json(rec["point"])
+            D.add_place(place, mult)
+            if abs(D.mult(place)) > _MULT_MAX:
+                raise InputError(f"divisor multiplicity {D.mult(place)} exceeds {_MULT_MAX}")
         return D
 
     def __eq__(self, other):

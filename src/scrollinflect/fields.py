@@ -25,7 +25,15 @@ from fractions import Fraction
 from .errors import InputError
 
 _EXT_DEGREE_MAX = 3
-_EXT_ORDER_MAX = 20000
+# Largest field order q, prime or extension: the log/Zech-log tables, a
+# curve's point list and the root search take O(q) time and memory.
+_FIELD_ORDER_MAX = 20000
+
+
+def _check_order(q):
+    """Refuse a field of order q before any work that grows with q."""
+    if q > _FIELD_ORDER_MAX:
+        raise InputError(f"field order {q} exceeds table limit {_FIELD_ORDER_MAX}")
 
 
 def is_prime(n):
@@ -79,6 +87,7 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p):
+        _check_order(p)
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
@@ -149,19 +158,18 @@ class ExtensionField(Field):
     kind = "extension"
 
     def __init__(self, p, modulus):
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
         e = len(modulus) - 1
         if not (1 <= e <= _EXT_DEGREE_MAX):
             raise InputError(f"extension degree {e} outside supported range 1..{_EXT_DEGREE_MAX}")
+        q = p ** e
+        _check_order(q)
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
         modulus = [c % p for c in modulus]
         if modulus[-1] != 1:
             raise InputError("modulus must be monic")
         if e >= 2 and any(_poly_eval_mod(modulus, x, p) == 0 for x in range(p)):
             raise InputError("modulus has a root in the prime field, not irreducible")
-        q = p ** e
-        if q > _EXT_ORDER_MAX:
-            raise InputError(f"field order {q} exceeds table limit {_EXT_ORDER_MAX}")
         self.p = p
         self.char = p
         self.degree = e
@@ -384,6 +392,7 @@ def find_irreducible(p, degree):
     """Smallest monic irreducible of the given degree over F_p, by packed order."""
     if not 1 <= degree <= _EXT_DEGREE_MAX:
         raise InputError(f"degree {degree} outside supported range")
+    _check_order(p ** degree)
     if degree == 1:
         return [0, 1]
     for packed in range(p ** degree):

@@ -22,13 +22,14 @@ The Riemann-Roch layer is memoised on the curve that owns it, keyed by
 `Divisor.key()` (the support as a frozenset of (place, mult) pairs):
 principal_function builds and ord_at-verifies each distinct divisor's
 function once, and rr_basis builds each L(D) once.  The basis monomials
-are expanded once per place, at the largest precision asked for; 1/h is
-expanded afresh on each normalized_rows call.  The memo keeps plain data
-only: normalised polynomial tuples, monomial keys, the target divisor
-and series.  FunctionRep wrappers are rebuilt from it by
-FunctionRep._wrap, which skips normalisation.  A memo value that held
-the curve would put the curve in a reference cycle, and every finished
-task's memo would then stay alive until a full garbage collection.
+and each L(D)'s normalized rows are expanded once per place, at the
+largest precision asked for; smaller requests truncate them.  The memo
+keeps plain data only: normalised polynomial tuples, monomial keys, the
+target divisor, series and rows of field elements.  FunctionRep wrappers
+are rebuilt from it by FunctionRep._wrap, which skips normalisation.  A
+memo value that held the curve would put the curve in a reference cycle,
+and every finished task's memo would then stay alive until a full
+garbage collection.
 """
 
 from __future__ import annotations
@@ -530,16 +531,17 @@ def _monomial_expansion(curve, key, place, prec):
 
 class _RRData:
     """What the curve keeps of one nonzero L(D), as plain data: hinv = 1/h
-    as normalised polynomial tuples (n0, n1, d0), the monomial keys and the
-    target divisor.  hinv's expansions are not kept: each normalized_rows
-    call expands it afresh, unless hinv = 1."""
+    as normalised polynomial tuples (n0, n1, d0), the monomial keys, the
+    target divisor and `rows`, place -> (prec, the normalized rows at the
+    largest precision asked for there)."""
 
-    __slots__ = ("hinv", "keys", "target")
+    __slots__ = ("hinv", "keys", "target", "rows")
 
     def __init__(self, hinv, keys, target):
         self.hinv = hinv
         self.keys = keys
         self.target = target
+        self.rows = {}
 
 
 class RRBasis(Sequence):
@@ -604,16 +606,21 @@ class RRBasis(Sequence):
 
         With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
         that series is (t^a b) * (t^-v hinv): a power series times a unit.
-        So hinv is expanded mod t^(prec + v) on each call unless it is 1, each
-        b mod t^(prec - a) (kept per curve and place; an expansion b lacks at
-        that precision is a zero row), and each row is one truncated product.
+        So hinv is expanded mod t^(prec + v) unless it is 1, each b mod
+        t^(prec - a) (kept per curve and place; an expansion b lacks at that
+        precision is a zero row), and each row is one truncated product.
+        The memo keeps them per place at the largest precision asked for (a
+        smaller request reads a prefix); callers share its lists, read-only.
         """
+        data = self._data
+        if data is None or prec <= 0:
+            return [[] for _ in range(len(self))]
+        got = data.rows.get(place)
+        if got is not None and got[0] >= prec:
+            return got[1] if got[0] == prec else [row[:prec] for row in got[1]]
         K = self.curve.field
         zero = K.zero
         rows = [[zero] * prec for _ in range(len(self))]
-        data = self._data
-        if data is None or prec <= 0:
-            return rows
         a = data.target.mult(place)
         if data.target == self.D:         # h = 1: the unit is 1, nothing to expand
             u = [K.one]
@@ -634,6 +641,7 @@ class RRBasis(Sequence):
                     continue
                 for j in range(min(len(u), prec - i)):
                     row[i + j] = K.add(row[i + j], K.mul(c, u[j]))
+        data.rows[place] = (prec, rows)
         return rows
 
 

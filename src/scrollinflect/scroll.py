@@ -19,8 +19,8 @@ over the extension as they are.  All of these are defined over F_q, so
 the Taylor data at a conjugate place sigma(p) is the Frobenius image of
 the data at p: an extension context expands the order matrices at one
 place per Frobenius orbit and maps them entrywise to the rest of the
-orbit (ScanContext).  Taylor data stays in one form from the ambient
-expansion table to the classification: plain lists of field elements,
+orbit (ScanContext).  Taylor data stays in one form from the
+Riemann-Roch rows to the classification: plain lists of field elements,
 put in the fibre frame by one helper (`_frame_coords`).  The
 osculating spans Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a
 ScanContext keeps one echelon accumulator per place, grown order by order
@@ -654,7 +654,8 @@ def sample_scan(E_spec, M, k, points, sections=None):
 
 
 def project_system(sections, m_plus_1, seed):
-    """A reproducible random (m+1)-dimensional subsystem of the given basis."""
+    """A reproducible random (m+1)-dimensional subsystem of the given basis,
+    with the drawn rows (its sections' coordinates in that basis)."""
     import random
 
     n_plus_1 = sections.dimension
@@ -670,18 +671,16 @@ def project_system(sections, m_plus_1, seed):
                 for _ in range(m_plus_1)]
         if mat_rank_kernel(K, rows, n_plus_1)[0] == m_plus_1:
             break
-    return _combo_basis(sections, rows)
+    return _combo_basis(sections, rows), rows
 
 
 def _combo_basis(sections, rows):
     """The subsystem spanned by rows x sections: rows x coeffs over the same
-    ambient basis, so it reads the expansions the full system made."""
+    Riemann-Roch bases, so it reads the rows the full system's scans kept."""
     K = sections.spec.curve.field
     columns = list(zip(*sections.coeffs))
     coeffs = [[K.dot(row, col) for col in columns] for row in rows]
-    out = SectionBasis(sections.spec, sections.ambient, coeffs)
-    out.combo_rows = [list(r) for r in rows]
-    return out
+    return SectionBasis(sections.spec, sections.twist, sections.bases, coeffs)
 
 
 def adversarial_projection(E_spec, M, x, m_plus_1, sections=None):

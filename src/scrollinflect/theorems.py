@@ -600,15 +600,15 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
     system; an engineered subsystem shows the genericity hypothesis matters.
 
     The full system, every random draw and the adversarial system are
-    coefficient rows over one ambient basis, so all of them read the same
-    expansions.  A draw is accepted as general when its centre avoids the
-    scanned osculating spans of all lower orders (the computable part of
-    the dense open condition behind the statement): the centre's residues
-    are tested against the full system's order-(< k_m) row space at each
-    place, read from the full scan context's flag.  The acceptance fraction
-    is reported and must stay above one half.  An accepted draw matches
-    when place_scan ranks of its own order matrices give the full system's
-    d_k and deficiency sets at every lower order.
+    coefficient rows over the same Riemann-Roch bases, so all of them read
+    the same expansion rows.  A draw is accepted as general when its centre
+    avoids the scanned osculating spans of all lower orders (the computable
+    part of the dense open condition behind the statement): the centre's
+    residues are tested against the full system's order-(< k_m) row space
+    at each place, read from the full scan context's flag.  The acceptance
+    fraction is reported and must stay above one half.  An accepted draw
+    matches when place_scan ranks of its own order matrices give the full
+    system's d_k and deficiency sets at every lower order.
     """
     from .scroll import adversarial_projection, osc_dim, project_system
 
@@ -634,8 +634,8 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
     general_count = 0
     seeds = list(seeds)
     for seed in seeds:
-        W = project_system(full_sections, m_plus_1, seed)
-        if not _center_avoids(full_ctx, k_m, W.combo_rows):
+        W, rows = project_system(full_sections, m_plus_1, seed)
+        if not _center_avoids(full_ctx, k_m, rows):
             continue
         general_count += 1
         ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=max(k_m - 1, 0),

@@ -37,10 +37,14 @@ def test_summary_counts_pairs_by_the_metric_direction():
 
 def test_every_workload_runs_ten_alternating_pairs(tmp_path, monkeypatch):
     """main runs PAIRS = 10 pairs per workload named, on distinct seeds, with
-    the side that runs first alternating; a NAME=PAIRS count is refused."""
-    calls = []
+    the side that runs first alternating, then one traced run per side on
+    the first pair's seed; a NAME=PAIRS count is refused."""
+    calls, traced = [], []
 
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed, seconds, trace):
+        if trace:
+            traced.append((workload, seed, tree))
+            return _run(0, **{"bundle.h0.calls": 3.0})
         calls.append((workload, seed, tree))
         return _run(0, **{name: 1.0 for name in ("tasks_per_s", "task_p50_s",
                                                   "task_tail_s", "peak_rss_mb",
@@ -58,5 +62,12 @@ def test_every_workload_runs_ten_alternating_pairs(tmp_path, monkeypatch):
         assert doc["summary"][name]["tasks_per_s"]["pairs"] == 10
         firsts = [tree for workload, _, tree in calls[::2] if workload == name]
         assert firsts == ["PARENT", bench_pairs.ROOT] * 5
+        first_seed = min(int(seed) for seed in doc["runs"][name])
+        assert [(seed, tree) for workload, seed, tree in traced if workload == name] \
+            == [(first_seed, "PARENT"), (first_seed, bench_pairs.ROOT)]
+        assert doc["traced"][name]["seed"] == first_seed
+        for side in ("parent", "change"):
+            assert doc["traced"][name][side]["bundle.h0.calls"]["value"] == 3.0
+    assert len(traced) == 2 * len(names)
     with pytest.raises(SystemExit):
         bench_pairs.main(["--workloads", "threshold-verify=6", "--out", str(out)])

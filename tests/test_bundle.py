@@ -4,7 +4,7 @@ import pytest
 
 from scrollinflect.bundle import (BundleSpec, Modification, chi_h1, dual_twist,
                                   elementary_transform, h0, normalized_series, wedge)
-from scrollinflect.curve import Divisor, INFINITY, Place, single
+from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
 from scrollinflect.linalg import mat_rank_kernel
 
@@ -160,20 +160,30 @@ def test_bundle_json_roundtrip(C7, esharp):
                                      ("eflat", Divisor({Q51: 1, INFINITY: -1}))],
                          ids=["estar-O", "esharp-O", "esharp-affine", "eflat-affine"])
 def test_ambient_tables_equal_normalized_series(name, M, request, C7, rng):
-    """AmbientBasis.table, built factor by factor, equals normalized_series
-    of each ambient function, at every C7 place and sampled F_49 places,
-    for increasing and decreasing precision requests; a fresh ambient basis
-    per request reads the monomial expansions the curve kept from larger
-    ones."""
+    """SectionBasis.table, the ambient split bundle's rows read from the
+    curve's Riemann-Roch memo, equals normalized_series of each basis
+    function, at every C7 place and sampled F_49 places, for increasing and
+    decreasing precision requests; the kept side grows and truncates one
+    memo over all requests, the fresh side is built per request over a
+    separate curve, so it reads no memo the kept side warmed."""
     E = request.getfixturevalue(name)
     sample = rng.sample(C7.base_change(2).points(), 8)
+
+    def sections_over(curve, e):
+        spec = BundleSpec(curve, E.factors, E.modifications)
+        return h0(dual_twist(spec, M)).base_change(e)
+
     for order in ((1, 2, 4, 7), (7, 4, 2, 1)):
+        kept_curve = Curve(C7.field, C7.a4, C7.a6)
         for e, places in ((1, C7.points()), (2, sample)):
-            kept = h0(dual_twist(E, M)).ambient.base_change(e)
+            kept = sections_over(kept_curve, e)
             for prec in order:
-                fresh = h0(dual_twist(E, M)).ambient.base_change(e)
+                fresh = sections_over(Curve(C7.field, C7.a4, C7.a6), e)
+                pairs = [(slot, f) for slot, basis in enumerate(fresh.bases)
+                         for f in basis]
                 for place in places:
-                    want = [normalized_series(f, place, fresh.shift(slot, place), prec)
-                            for slot, f in fresh.pairs]
-                    for amb in (kept, fresh):
-                        assert [row[:prec] for row in amb.table(place, prec)] == want
+                    want = [normalized_series(f, place,
+                                              fresh.component_shift(slot, place), prec)
+                            for slot, f in pairs]
+                    for sections in (kept, fresh):
+                        assert [row[:prec] for row in sections.table(place, prec)] == want

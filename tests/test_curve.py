@@ -450,6 +450,7 @@ def test_rr_memo_leaves_no_reference_cycle(F7):
         f = principal_function(curve, Divisor({P: 1, curve.point_neg(P): 1, INFINITY: -2}))
         big = curve.base_change(2)
         assert curve._principal_functions and curve._rr_bases and big._rr_bases
+        assert all(any(data.rows for data in c._rr_bases.values()) for c in (curve, big))
         refs = [weakref.ref(curve), weakref.ref(big)]
         del curve, big, E, V, vectors, basis, funcs, f
         assert [r() for r in refs] == [None, None]
@@ -462,7 +463,7 @@ def test_rr_memo_equals_a_fresh_build(F7):
     most two places of C7 gets the basis, expansion rows and principal
     function that a fresh, equal curve builds from nothing; the rows are
     read after a smaller and then a larger request filled the kept
-    monomial expansions (1/h is expanded afresh on every request)."""
+    monomial expansions and rows, so the last request reads a prefix."""
     memo = Curve(F7, 0, 2)
     pts = memo.points()
     for D in _small_divisors(memo):

@@ -3,8 +3,8 @@
 GOLDEN pins four F_49 commands; their hashes were recorded before the
 log/Zech-log arithmetic, the memoised base change and the slack-free
 expansion went in.  PROJECTION pins `verify appendixA` and `project`; their
-hashes were recorded before sections became coefficient rows over an
-ambient Riemann-Roch basis, which random and adversarial subsystems share.
+hashes were recorded before sections became coefficient rows over the
+factors' Riemann-Roch bases, which random and adversarial subsystems share.
 VERIFIERS pins a wedge witness of `verify mainB`, `mainBmod`, `mainC` over
 F_49 and the exact path of `hypothesis-nilpotent`; their hashes were recorded
 before the verifiers became loops over one fibre classification.
@@ -17,7 +17,7 @@ hashes were recorded before extension scans lifted the base-field
 sections in place of computing H^0 over the extension.
 ORBITS pins `verify mainA` and an all-twist scan over F_343, where most
 Frobenius orbits have three places; their hashes were recorded before
-scans expanded one place per orbit and ambient sections as b * (1/h).
+scans expanded one place per orbit and Riemann-Roch bases as b * (1/h).
 WITNESS pins all-twist scans to k = 2 over F_7 with the witness
 cross-check: on eflat 90 subfull fibres have their witness below level k,
 and esharp goes through the frame change at a modified place; their hashes

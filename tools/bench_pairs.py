@@ -13,11 +13,16 @@ the benchmark's, not the runner's); the side that runs first alternates
 hits both sides alike.  Pair i of the w-th workload listed uses seed
 10000 + 100 w + i + 1.
 
+After a workload's pairs, each side runs `perfbench/run.py --trace 1` once on
+the first pair's seed; its per-layer counts and self times are kept under
+`traced`, by workload, with that seed.
+
 The output holds every run (`runs`, by workload and seed, with the result
-object that run.py prints) and a `summary` per workload and metric: parent
-and change medians, their ratio, the number of pairs the change won (by the
-metric's direction in BENCHMARK.json) and the parent's interquartile range,
-upper minus lower quartile by statistics.quantiles(n=4).  A claimed gain
+object that run.py prints), the traced metrics, and a `summary` per
+workload and metric: parent and change medians, their ratio, the number of
+pairs the change won (by the metric's direction in BENCHMARK.json) and the
+parent's interquartile range, upper minus lower quartile by
+statistics.quantiles(n=4).  A claimed gain
 should beat that range in the median.
 """
 
@@ -51,10 +56,10 @@ def export(rev, dest):
     return short, tree
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace):
     """The result object that one run.py call in the given tree prints."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n"
@@ -102,7 +107,7 @@ def main(argv=None):
                     "(parent first on even pair index)",
            "parent_iqr": "upper minus lower quartile of the parent's runs "
                          "(statistics.quantiles, n=4)",
-           "what": args.what, "runs": {}, "summary": {}}
+           "what": args.what, "runs": {}, "summary": {}, "traced": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         doc["parent_commit"], parent = export(args.parent, tmp)
         for w, workload in enumerate(args.workloads):
@@ -112,12 +117,17 @@ def main(argv=None):
                 sides = [("parent", parent), ("change", ROOT)]
                 if i % 2:
                     sides.reverse()
-                runs[str(seed)] = {side: run_once(tree, workload, seed, seconds)
+                runs[str(seed)] = {side: run_once(tree, workload, seed, seconds, 0)
                                    for side, tree in sides}
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {runs[str(seed)][side]['metrics']['tasks_per_s']['value']:.3f}"
                     for side, _ in sides) + " tasks/s", file=sys.stderr, flush=True)
             doc["summary"][workload] = summarize(runs, directions)
+            seed = SEED_BASE + 100 * w + 1
+            doc["traced"][workload] = {
+                "seed": seed,
+                **{side: run_once(tree, workload, seed, seconds, 1)["metrics"]
+                   for side, tree in (("parent", parent), ("change", ROOT))}}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
