@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .curve import Divisor
-from .errors import InputError, PrecisionError, Unsupported
+from .errors import InputError, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import mat_inverse, mat_rank_kernel
 
@@ -266,14 +266,10 @@ def elementary_transform(spec, place, direction):
 
 def normalized_series(f, place, shift, prec):
     """The coefficients of t^0 .. t^(prec-1) of t^shift * f; all zero for the
-    zero function or when f vanishes to order >= prec - shift at the place."""
+    zero function or when f vanishes to order >= prec - shift at the place,
+    whose expansion is then the empty window."""
     out = [f.curve.field.zero] * prec
-    if f.is_zero():
-        return out
-    try:
-        exp = f.local_expansion(place, prec - shift)
-    except PrecisionError:
-        return out
+    exp = f.local_expansion(place, prec - shift)
     for j, c in enumerate(exp.coeffs, exp.val + shift):
         if 0 <= j < prec:
             out[j] = c

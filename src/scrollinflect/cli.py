@@ -15,8 +15,7 @@ import sys
 
 from .bundle import BundleSpec, dual_twist, h0
 from .curve import Curve
-from .errors import (DomainError, InputError, InvariantViolation, PrecisionError,
-                     Unsupported)
+from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .fields import field_from_desc
 from .scroll import ScanContext, project_system, scan_report, witness_sets
 from .theorems import (hirschowitz_bound, kprime_expected_dims,
@@ -355,7 +354,7 @@ def run_command(argv):
     except InvariantViolation as e:
         emit({"error": str(e), "kind": "invariant-violation"})
         return 2
-    except (InputError, DomainError, Unsupported, PrecisionError) as e:
+    except (InputError, DomainError, Unsupported) as e:
         emit({"error": f"{type(e).__name__}: {e}"})
         return 1
 

@@ -38,10 +38,11 @@ class Place:
 
 INFINITY = Place()
 
-# Largest |multiplicity| at a place of a divisor read from input: L(D) has
-# deg D basis functions and principal_function takes one Miller step per unit
-# at an affine place.  64 is over six times the largest multiplicity of any
-# committed instance or benchmark input (10); 2^40 would never finish.
+# Largest sum of |multiplicity| over the points of a divisor read from input,
+# which also bounds each multiplicity and |deg D|: L(D) has deg D basis
+# functions and principal_function takes one Miller step per unit at an
+# affine place.  64 is eight times the largest total read from any committed
+# instance, test or benchmark input (8); 2^40 would never finish.
 _MULT_MAX = 64
 
 
@@ -198,19 +199,26 @@ class Curve:
             return P
         return Place(P.x, self.field.neg(P.y))
 
-    def point_add(self, P, Q):
+    def chord_slope(self, P, Q):
+        """The slope of the line through affine P and Q (the tangent if
+        P == Q), or None when that line is vertical (Q = -P)."""
         K = self.field
+        if P.x == Q.x:
+            if K.add(P.y, Q.y) == K.zero:
+                return None
+            num = K.add(K.mul(K.from_int(3), K.mul(P.x, P.x)), self.a4)
+            return K.div(num, K.add(P.y, P.y))
+        return K.div(K.sub(Q.y, P.y), K.sub(Q.x, P.x))
+
+    def point_add(self, P, Q):
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
-        if P.x == Q.x:
-            if K.add(P.y, Q.y) == K.zero:
-                return INFINITY
-            num = K.add(K.mul(K.from_int(3), K.mul(P.x, P.x)), self.a4)
-            lam = K.div(num, K.add(P.y, P.y))
-        else:
-            lam = K.div(K.sub(Q.y, P.y), K.sub(Q.x, P.x))
+        lam = self.chord_slope(P, Q)
+        if lam is None:
+            return INFINITY
+        K = self.field
         x3 = K.sub(K.sub(K.mul(lam, lam), P.x), Q.x)
         y3 = K.sub(K.mul(lam, K.sub(P.x, x3)), P.y)
         return Place(x3, y3)
@@ -375,10 +383,11 @@ class Curve:
             mult = rec["mult"]
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise InputError(f"divisor multiplicity {mult!r} is not an integer")
-            place = self.place_from_json(rec["point"])
-            D.add_place(place, mult)
-            if abs(D.mult(place)) > _MULT_MAX:
-                raise InputError(f"divisor multiplicity {D.mult(place)} exceeds {_MULT_MAX}")
+            D.add_place(self.place_from_json(rec["point"]), mult)
+        total = sum(abs(m) for m in D.support.values())
+        if total > _MULT_MAX:
+            raise InputError(f"divisor multiplicity {total} (the sum of |mult| over its "
+                             f"points) exceeds {_MULT_MAX}")
         return D
 
     def __eq__(self, other):

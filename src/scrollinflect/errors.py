@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps InputError, DomainError, Unsupported and PrecisionError to
-exit code 1 and InvariantViolation to exit code 2; everything else is a
-bug and propagates.
+The CLI maps the three input kinds, InputError, DomainError and
+Unsupported, to exit code 1 and InvariantViolation to exit code 2;
+everything else is a bug and propagates.
 """
 
 
@@ -12,10 +12,6 @@ class InputError(ValueError):
 
 class DomainError(ValueError):
     """Input is well-formed but outside an operation's mathematical domain."""
-
-
-class PrecisionError(ArithmeticError):
-    """A truncated series does not carry enough terms for the request."""
 
 
 class Unsupported(RuntimeError):

@@ -77,9 +77,6 @@ class Field:
     def is_finite(self):
         return self.order is not None
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class PrimeField(Field):
     """F_p, p prime, p not in {2, 3}; elements are ints in [0, p)."""

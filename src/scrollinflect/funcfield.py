@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .curve import INFINITY, Divisor, Place, single
-from .errors import DomainError, InputError, InvariantViolation, PrecisionError
+from .errors import DomainError, InputError, InvariantViolation
 from .series import LaurentSeries
 
 # --------------------------------------------------------------------------
@@ -237,9 +237,13 @@ class FunctionRep:
     def local_expansion(self, place, precision):
         """Expansion in the canonical uniformiser, correct modulo t^precision.
 
-        One pass, sized by the exact orders vn of the numerator, vd of d0 and
-        v = vn - vd.  Series products and inverses keep the smaller relative
-        precision (prec - val), so with x(t), y(t) known mod t^P:
+        The zero function, and a function that vanishes to order >= precision
+        at the place, give the empty window (valuation == precision, no
+        coefficients): zero modulo t^precision is an answer, not an error.
+
+        Otherwise one pass, sized by the exact orders vn of the numerator, vd
+        of d0 and v = vn - vd.  Series products and inverses keep the smaller
+        relative precision (prec - val), so with x(t), y(t) known mod t^P:
           * at an affine place x(t), y(t) have val >= 0, both halves are known
             mod t^P, and the quotient mod t^(v + P - max(vn, vd));
           * at O, x(t) = t^-2 (...) and y(t) = t^-3 (...) have relative
@@ -249,22 +253,20 @@ class FunctionRep:
         least 1.  A result short of that, or with valuation other than v, is
         an InvariantViolation.
         """
-        if self.is_zero():
-            raise DomainError("cannot expand the zero function")
         curve = self.curve
         curve.check_place(place)
+        K = curve.field
+        if self.is_zero():
+            return LaurentSeries.zero(K, precision)
         vn = _order(curve, self.n0, self.n1, place)
         vd = _order(curve, self.d0, [], place)
         v = vn - vd
         rel = -2 if place.is_infinity else max(vn, vd)
-        # one param_series call per expansion, even the one that raises below,
+        # one param_series call per nonzero expansion, even an empty one,
         # keeps that call count equal to the expansion count
         xs, ys = curve.param_series(place, max(precision - v + rel, 1))
         if v >= precision:
-            raise PrecisionError(
-                f"requested precision {precision} does not exceed "
-                f"the valuation {v} of the function")
-        K = curve.field
+            return LaurentSeries.zero(K, precision)
         num = peval_series(K, self.n0, xs)
         if self.n1:
             num = num.add(peval_series(K, self.n1, xs).mul(ys))
@@ -389,14 +391,10 @@ def vertical_line(curve, P):
 def _chord(curve, P, Q):
     """[-nu, -lam] for the line y = lam x + nu through P and Q (tangent if
     P == Q); not for vertical pairs."""
-    K = curve.field
-    if P.x == Q.x and K.add(P.y, Q.y) == K.zero:
+    lam = curve.chord_slope(P, Q)
+    if lam is None:
         raise InputError("chord through a vertical pair; use vertical_line")
-    if P == Q:
-        num = K.add(K.mul(K.from_int(3), K.mul(P.x, P.x)), curve.a4)
-        lam = K.div(num, K.add(P.y, P.y))
-    else:
-        lam = K.div(K.sub(Q.y, P.y), K.sub(Q.x, P.x))
+    K = curve.field
     nu = K.sub(P.y, K.mul(lam, P.x))
     return [K.neg(nu), K.neg(lam)]
 
@@ -510,23 +508,15 @@ def _monomial(curve, key):
 
 
 def _monomial_expansion(curve, key, place, prec):
-    """The monomial named by key mod t^prec at the place, or None when it
-    vanishes there to order >= prec.  Kept per (curve, place, key) at the
-    largest precision asked for; smaller requests truncate it."""
+    """The monomial named by key mod t^prec at the place (the empty window
+    when it vanishes there to order >= prec).  Kept per (curve, place, key)
+    at the largest precision asked for; smaller requests truncate it."""
     memo = curve._monomial_expansions
     got = memo.get((place, key))
     if got is None or got[0] < prec:
-        try:
-            exp = _monomial(curve, key).local_expansion(place, prec)
-        except PrecisionError:
-            exp = None
-        got = (prec, exp)
+        got = (prec, _monomial(curve, key).local_expansion(place, prec))
         memo[(place, key)] = got
-    exp = got[1]
-    if exp is None or got[0] == prec:
-        return exp
-    exp = exp.truncate(prec)
-    return exp if exp.coeffs else None
+    return got[1] if got[0] == prec else got[1].truncate(prec)
 
 
 class _RRData:
@@ -607,8 +597,9 @@ class RRBasis(Sequence):
         With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
         that series is (t^a b) * (t^-v hinv): a power series times a unit.
         So hinv is expanded mod t^(prec + v) unless it is 1, each b mod
-        t^(prec - a) (kept per curve and place; an expansion b lacks at that
-        precision is a zero row), and each row is one truncated product.
+        t^(prec - a) (kept per curve and place; a b that vanishes to that
+        order is the empty window, so its row stays zero), and each row is
+        one truncated product.
         The memo keeps them per place at the largest precision asked for (a
         smaller request reads a prefix); callers share its lists, read-only.
         """
@@ -634,8 +625,6 @@ class RRBasis(Sequence):
             u = unit.coeffs
         for row, key in zip(rows, data.keys):
             exp = _monomial_expansion(self.curve, key, place, prec - a)
-            if exp is None:
-                continue
             for i, c in enumerate(exp.coeffs, exp.val + a):
                 if c == zero:
                     continue

@@ -8,8 +8,6 @@ this precision", stored with valuation == precision.
 
 from __future__ import annotations
 
-from .errors import PrecisionError
-
 
 class LaurentSeries:
 
@@ -26,9 +24,6 @@ class LaurentSeries:
             # past the precision nothing is known: a valuation at or above it
             # leaves the window empty
             del coeffs[max(prec - val, 0):]
-            while coeffs and coeffs[0] == z:
-                coeffs.pop(0)
-                val += 1
         while coeffs and coeffs[-1] == z:
             coeffs.pop()
         if not coeffs:
@@ -83,8 +78,6 @@ class LaurentSeries:
             return LaurentSeries.zero(K, prec)
         lo = self.val + other.val
         n = prec - lo
-        if n <= 0:
-            return LaurentSeries.zero(K, prec)
         a, b = self.coeffs, other.coeffs
         out = [K.zero] * n
         for i, x in enumerate(a):
@@ -104,7 +97,7 @@ class LaurentSeries:
     def invert(self):
         K = self.field
         if not self.coeffs:
-            raise PrecisionError(
+            raise ZeroDivisionError(
                 f"cannot invert a series indistinguishable from 0 mod t^{self.prec}")
         m = self.prec - self.val
         u = self.coeffs + [K.zero] * (m - len(self.coeffs))

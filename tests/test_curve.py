@@ -7,8 +7,7 @@ import pytest
 
 from scrollinflect.bundle import normalized_series
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
-from scrollinflect.errors import (DomainError, InputError, InvariantViolation,
-                                  PrecisionError)
+from scrollinflect.errors import DomainError, InputError, InvariantViolation
 from scrollinflect.fields import PrimeField
 from scrollinflect.funcfield import (FunctionRep, chord_line, peval_series, pmul,
                                      principal_function, rr_basis, vertical_line)
@@ -164,17 +163,20 @@ def test_local_expansion_valuations(C7):
 
 def test_local_expansion_precision_error(C7):
     x = FunctionRep(C7, [0, 1], [], [1])
-    with pytest.raises(PrecisionError):
-        x.local_expansion(INFINITY, -2)      # window ends at the valuation
+    got = x.local_expansion(INFINITY, -2)    # window ends at the valuation
+    assert (got.val, got.coeffs, got.prec) == (-2, [], -2)
 
 
 def test_expansion_vanishing_past_the_precision_raises(C7):
-    # vanishes to order 4 at O: no coefficient is visible modulo t^3
+    # vanishes to order 4 at O: no coefficient is visible modulo t^3; the
+    # zero function is the same empty window at every place
     B = C7.base_change(2)
     f = FunctionRep(B, [5, 6, 1], [4], [0, 4, 4, 3, 1])
     assert f.local_expansion(INFINITY, 5).val == 4
-    with pytest.raises(PrecisionError):
-        f.local_expansion(INFINITY, 3)
+    for g, place in [(f, INFINITY), (FunctionRep.zero(B), INFINITY),
+                     (FunctionRep.zero(B), Place(3, 1))]:
+        got = g.local_expansion(place, 3)
+        assert (got.val, got.coeffs, got.prec) == (3, [], 3), (g, place)
 
 
 # An expansion at one oversized precision, built straight from param_series,
@@ -248,6 +250,35 @@ def order_test_places(C7, C11, CQ, QQ):
     return out + [(CQ, p, rationals) for p in rationals]
 
 
+def test_param_series_lies_on_the_curve(C7, C11, CQ, QQ):
+    """At every place of order_test_places and every precision 1..24, x(t)
+    and y(t) satisfy the curve equation and the uniformiser identity
+    (t = x - x0, t = y or t = x/y) modulo their precision, and have
+    valuations -2 and -3 at O."""
+    kinds = set()
+    for curve, place, _ in order_test_places(C7, C11, CQ, QQ):
+        K = curve.field
+        kind = curve.uniformiser_kind(place)
+        kinds.add(kind)
+        for prec in range(1, 25):
+            xs, ys = curve.param_series(place, prec)
+            t = LaurentSeries.uniformiser(K, prec + 8)
+            rhs = xs.mul(xs).mul(xs).add(xs.scalar_mul(curve.a4)) \
+                .add(LaurentSeries.constant(K, curve.a6, prec))
+            eq = ys.mul(ys).sub(rhs)
+            # at O the t^-6 .. t^-3 terms cancel too, so the window is not vacuous
+            assert not eq.coeffs and eq.prec >= prec - 4, (place, prec)
+            if kind == "generic":
+                ident = xs.sub(LaurentSeries.constant(K, place.x, prec)).sub(t)
+            elif kind == "ramified":
+                ident = ys.sub(t)
+            else:
+                ident = xs.sub(t.mul(ys))
+                assert (xs.val, ys.val) == (-2, -3), prec
+            assert not ident.coeffs and ident.prec == prec, (place, prec)
+    assert kinds == {"generic", "ramified", "infinity"}
+
+
 def test_ord_at_is_exact(C7, C11, CQ, QQ):
     """ord_at, read off the polynomials by the norm argument, equals the
     valuation of the oversized reference expansion at every place of C7,
@@ -263,7 +294,7 @@ def test_ord_at_is_exact(C7, C11, CQ, QQ):
 
 def test_local_expansion_is_one_pass(C7, C11, CQ, QQ, monkeypatch):
     """At every precision from -4 to 12, local_expansion equals the
-    truncated reference, raises PrecisionError exactly when the order
+    truncated reference, is the empty window exactly when the order
     reaches the precision, and calls param_series exactly once."""
     rng = random.Random(11)
     calls = []
@@ -274,7 +305,7 @@ def test_local_expansion_is_one_pass(C7, C11, CQ, QQ, monkeypatch):
         return param_series(curve, place, prec)
 
     monkeypatch.setattr(Curve, "param_series", counted)
-    expansions = raised = 0
+    expansions = empty = 0
     for curve, place, affine in order_test_places(C7, C11, CQ, QQ)[::3]:
         for f in order_test_functions(curve, place, affine, rng, n_random=2):
             ref = reference_expansion(f, place)
@@ -282,16 +313,17 @@ def test_local_expansion_is_one_pass(C7, C11, CQ, QQ, monkeypatch):
                 del calls[:]
                 expansions += 1
                 if ref.val >= precision:
-                    with pytest.raises(PrecisionError):
-                        f.local_expansion(place, precision)
-                    raised += 1
+                    got = f.local_expansion(place, precision)
+                    assert (got.val, got.coeffs, got.prec) == \
+                        (precision, [], precision), (f, place, precision)
+                    empty += 1
                 else:
                     got = f.local_expansion(place, precision)
                     want = ref.truncate(precision)
                     assert (got.val, got.coeffs, got.prec) == \
                         (want.val, want.coeffs, precision), (f, place, precision)
                 assert len(calls) == 1
-    assert 0 < raised < expansions
+    assert 0 < empty < expansions
 
 
 def test_local_expansion_checks_the_series_against_the_order(C7, monkeypatch):

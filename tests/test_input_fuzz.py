@@ -4,10 +4,10 @@ run in-process through cli.run_command, exit 0 with one JSON object or exit
 
 A mutation drops a key of an object or swaps a value anywhere in the
 instance for an int (huge ones included), a bool, null, a string, a list or
-an object; each example applies one to three of them and runs one of six
-commands.  Out-of-range sizes (a divisor multiplicity of 2^40, fields of
-order 1000003 and of a 19-digit prime order) are refused before any work
-that grows with them.
+an object; each example applies one to three of them and runs one of nine
+commands.  Out-of-range sizes (a divisor multiplicity of 2^40, a divisor
+with -64 at each of three points, fields of order 1000003 and of a
+19-digit prime order) are refused before any work that grows with them.
 """
 
 import contextlib
@@ -27,7 +27,9 @@ from scrollinflect.cli import run_command
 INSTANCES = {path.stem: json.loads(path.read_text()) for path in
              sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))}
 COMMANDS = (("curve-info",), ("sections",), ("osc", "--k", "0"), ("segre",),
-            ("witnesses", "--k", "0"), ("hypothesis-nilpotent",))
+            ("witnesses", "--k", "0"), ("hypothesis-nilpotent",), ("scan", "--k", "1"),
+            ("verify", "mainA", "--k", "1", "--ext", "1"),
+            ("project", "--m", "3", "--k", "1"))
 HUGE_MULT = 2 ** 40
 PRIME_7_DIGITS = 1000003
 PRIME_19_DIGITS = 10 ** 18 + 3
@@ -84,6 +86,8 @@ def _with(name, path, value):
 
 
 HUGE_FACTOR = _with("estar", ("bundle", "factors", 0), [{"point": "O", "mult": HUGE_MULT}])
+WIDE_FACTOR = _with("estar", ("bundle", "factors", 0),
+                    [{"point": [x, "1"], "mult": -64} for x in ("3", "5", "6")])
 BIG_PRIME = _with("estar", ("field",), {"kind": "prime", "p": PRIME_7_DIGITS})
 HUGE_PRIME = _with("estar", ("field",), {"kind": "prime", "p": PRIME_19_DIGITS})
 HUGE_EXTENSION = _with("estar", ("field",),
@@ -122,10 +126,12 @@ def test_mutated_instances_exit_0_or_1_with_one_json_object(inst, command):
     (HUGE_FACTOR, f"divisor multiplicity {HUGE_MULT}"),
     (_with("estar", ("M",), [{"point": "O", "mult": 40}, {"point": "O", "mult": 25}]),
      "divisor multiplicity 65"),
+    (WIDE_FACTOR, "divisor multiplicity 192"),
     (BIG_PRIME, f"field order {PRIME_7_DIGITS}"),
     (HUGE_PRIME, f"field order {PRIME_19_DIGITS}"),
     (HUGE_EXTENSION, f"field order {PRIME_19_DIGITS ** 2}"),
-], ids=["mult-2^40", "mult-65-summed", "p-1000003", "p-19-digits", "extension-19-digits"])
+], ids=["mult-2^40", "mult-65-summed", "mult-192-total", "p-1000003", "p-19-digits",
+        "extension-19-digits"])
 def test_out_of_range_sizes_exit_1_naming_the_value(inst, named):
     code, out = _run(inst, ("curve-info",))
     assert code == 1
