@@ -1,12 +1,13 @@
 """Osculating dimensions and inflection loci of P(E) -> |O(1) (x) M|^*.
 
 The model is evaluated through truncated Taylor data: for a point x in the
-fibre over p with direction v, the order-(<= k) coefficient matrix of the
-twisted dual sections in a fibre frame adapted to v has rank dim Osc + 1.
-Two independent routes are provided:
+fibre over p with direction v, the order-(< k) coefficients of the twisted
+dual sections in every fibre direction, together with their order-k
+coefficients along v, span a space of dimension dim Osc + 1.  Two
+independent routes are provided:
 
-* jet route - expand each section at p, change frame so the first column
-  is v, read coefficients;
+* jet route - expand each section at p, read those coefficients in the
+  fibre frame and take their rank;
 * transformation route - compare h^0 of twists of E against the bundle of
   sections with one extra pole at p along v.
 
@@ -43,6 +44,7 @@ e = 1, where the base field need not be prime.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 # normalized_series is re-exported: theorems expands explicit vectors with it
@@ -61,6 +63,11 @@ def check_jet_order(field, k):
     if field.char and k + 1 >= field.char:
         raise InputError(
             f"jet order {k} needs k + 1 < characteristic {field.char}")
+
+
+def check_twist(M):
+    if M.degree != 0:
+        raise InputError("the twist class must have degree zero")
 
 
 def normalize_direction(field, direction):
@@ -187,55 +194,32 @@ def order_matrices(E_spec, sections, place, k_max):
 # single-point jets
 
 
-def jet_matrix(E_spec, M, x, k, sections=None, completion=None,
-               uniformiser_scale=None):
+def jet_matrix(E_spec, M, x, k, sections=None):
     """The (kr+1) x (n+1) Taylor-coefficient matrix at x, exact, as rows.
 
-    Rows: first the pure orders (j, 1) for 0 <= j <= k, then for each
-    order 0 <= l <= k-1 the mixed rows over the completion directions.
-    The engine passes neither completion nor uniformiser_scale; they stay
-    for the test that the rank does not depend on the frame.
+    Rows: the r frame coordinates of the sections at each order j < k, in
+    order, then their order-k coefficients dotted with x's direction.  Its
+    row space is Osc^k at x, which no choice of frame enters: the rank is
+    dim Osc^k + 1.
     """
-    curve = E_spec.curve
-    K = curve.field
+    K = E_spec.curve.field
     check_jet_order(K, k)
-    if M.degree != 0:
-        raise InputError("the twist class must have degree zero")
+    check_twist(M)
     if sections is None:
         sections = h0(dual_twist(E_spec, M))
-    r = E_spec.rank
-    v = normalize_direction(K, x.direction)
-    pivot = next(i for i, c in enumerate(v) if c != K.zero)
-    if completion is None:
-        completion = [tuple(K.one if j == i else K.zero for j in range(r))
-                      for i in range(r) if i != pivot]
-    if len(completion) != r - 1:
-        raise InputError("completion must supply r - 1 directions")
-    frame_rows = [list(v)] + [list(w) for w in completion]
-    if mat_rank_kernel(K, frame_rows, r)[0] != r:
-        raise InputError("direction and completion do not form a frame")
+    if len(x.direction) != E_spec.rank:
+        raise InputError("direction must be a nonzero fibre vector")
     alphas = alpha_series(E_spec, sections, x.place, k)
-    ncols = len(alphas)
-    scale = uniformiser_scale
-
-    def coeff(coords, j):
-        c = coords[j]
-        if scale is not None and c != K.zero:
-            c = K.mul(c, K.pow(scale, j))
-        return c
-
-    combos = [_frame_coords(K, frame_rows, alpha, (), None) for alpha in alphas]
-    rows = []
-    for j in range(k + 1):
-        rows.append([coeff(combos[c][0], j) for c in range(ncols)])
-    for ell in range(k):
-        for widx in range(1, r):
-            rows.append([coeff(combos[c][widx], ell) for c in range(ncols)])
+    rows = [[alpha[i][j] for alpha in alphas]
+            for j in range(k) for i in range(E_spec.rank)]
+    rows.append([K.dot(x.direction, [coords[k] for coords in alpha])
+                 for alpha in alphas])
     return rows
 
 
 def osc_dim(E_spec, M, x, k, sections=None):
-    """dim Osc^k at x (-1 when the point is a base point of the system)."""
+    """dim Osc^k at x: the rank of jet_matrix less one (-1 when the point
+    is a base point of the system)."""
     rows = jet_matrix(E_spec, M, x, k, sections=sections)
     return mat_rank_kernel(E_spec.curve.field, rows, len(rows[0]))[0] - 1
 
@@ -245,8 +229,7 @@ def osc_dim_oracle(E_spec, M, x, k):
     kr - [h^0(M^{-1} (x) Etilde(k p)) - h^0(M^{-1} (x) E)] at genus 1."""
     K = E_spec.curve.field
     check_jet_order(K, k)
-    if M.degree != 0:
-        raise InputError("the twist class must have degree zero")
+    check_twist(M)
     Et = elementary_transform(E_spec, x.place, x.direction)
     h_base = h0(E_spec, M.neg()).dimension
     h_et = h0(Et, M.neg().add(single(x.place, k))).dimension
@@ -284,8 +267,7 @@ class WitnessSet:
 def subsheaf_witnesses(E_spec, M, place, k):
     """The witness directions at the place: leading fibre vectors of maps
     O(-(k+1)p) -> M^{-1}E with a pole of order exactly k+1 at p."""
-    if M.degree != 0:
-        raise InputError("the twist class must have degree zero")
+    check_twist(M)
     V = h0(E_spec, M.neg().add(single(place, k + 1)))
     acc = EchelonAccumulator(E_spec.curve.field, E_spec.rank)
     for lead in lead_vectors(E_spec, place, V.section_coeffs(place, 2)):
@@ -412,8 +394,7 @@ class ScanContext:
             raise Unsupported("exhaustive scans need a finite base field; "
                               "supply sample points over infinite fields")
         check_jet_order(base_curve.field, k_max)
-        if M.degree != 0:
-            raise InputError("the twist class must have degree zero")
+        check_twist(M)
         if sections is None:
             sections = h0(dual_twist(E_spec, M))
         elif sections.spec.curve != base_curve:
@@ -589,15 +570,10 @@ def scan_report(ctx, k, cross_check=True):
 def _oracle_cross_check(ctx, k, scans):
     """Jet rank against the pole-counting route on the first fibres."""
     K = ctx.curve.field
-    count = 0
-    for place in ctx.places:
-        if count >= _ORACLE_SAMPLES:
-            break
-        ps = scans[place]
-        basis = standard_basis(K, ctx.E.rank)
-        direction = normalize_direction(K, basis[0])
+    direction = standard_basis(K, ctx.E.rank)[0]
+    for place in ctx.places[:_ORACLE_SAMPLES]:
         x = ScrollPoint(K, place, direction)
-        jet_d = ps.rank_of(direction) - 1
+        jet_d = scans[place].rank_of(direction) - 1
         via_jet = osc_dim(ctx.E, ctx.M, x, k, sections=ctx.sections)
         if via_jet != jet_d:
             raise InvariantViolation(
@@ -605,7 +581,6 @@ def _oracle_cross_check(ctx, k, scans):
         oracle_d = osc_dim_oracle(ctx.E, ctx.M, x, k)
         if oracle_d != via_jet:
             return False
-        count += 1
     return True
 
 
@@ -656,8 +631,6 @@ def sample_scan(E_spec, M, k, points, sections=None):
 def project_system(sections, m_plus_1, seed):
     """A reproducible random (m+1)-dimensional subsystem of the given basis,
     with the drawn rows (its sections' coordinates in that basis)."""
-    import random
-
     n_plus_1 = sections.dimension
     if not (1 <= m_plus_1 < n_plus_1):
         raise InputError("projection dimension out of range")

@@ -9,6 +9,7 @@ TheoremReport with one pass/fail clause per checked statement.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt
@@ -18,8 +19,9 @@ from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import mat_rank_kernel
-from .scroll import (ScanContext, ScrollPoint, _classify, expected_dims,
-                     incidence_dim, lead_vectors, normalized_series, scan_report)
+from .scroll import (ScanContext, ScrollPoint, _classify, adversarial_projection,
+                     expected_dims, incidence_dim, lead_vectors, normalized_series,
+                     osc_dim, project_system, scan_report)
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -392,7 +394,7 @@ def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, s1_method="auto"
     curve = E_spec.curve
     p = curve.field.char
     if k_values is None:
-        k_values = [k for k in range(6) if k + 1 < p]
+        k_values = range(6)
     k_values = [k for k in k_values if k + 1 < p]
     if not k_values:
         raise InputError("no admissible jet orders below the characteristic")
@@ -563,7 +565,6 @@ def verify_generic_inflection(E_spec, ext_degree=2):
 
 
 def _divisor_key(curve, D):
-    import json
     return json.dumps(curve.divisor_to_json(D), sort_keys=True)
 
 
@@ -610,8 +611,6 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
     matches when place_scan ranks of its own order matrices give the full
     system's d_k and deficiency sets at every lower order.
     """
-    from .scroll import adversarial_projection, osc_dim, project_system
-
     full_sections = h0(dual_twist(E_spec, M))
     n = full_sections.dimension - 1
     if not (1 <= m_plus_1 <= n):

@@ -7,7 +7,7 @@ from scrollinflect.fields import extension_of
 from scrollinflect.funcfield import FunctionRep
 from scrollinflect.linalg import mat_rank_kernel
 from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
-                                  adversarial_projection, jet_matrix,
+                                  adversarial_projection, alpha_series, jet_matrix,
                                   order_matrices, osc_dim, osc_dim_oracle,
                                   project_system,
                                   projective_points, scan_report, standard_basis,
@@ -52,6 +52,12 @@ def test_jet_order_must_stay_below_characteristic(estar, F7):
         osc_dim(estar, M0, x, 6)
 
 
+def test_direction_must_fit_the_fibre(estar, F7):
+    for v in [(1,), (1, 1, 1)]:
+        with pytest.raises(InputError, match="nonzero fibre vector"):
+            jet_matrix(estar, M0, ScrollPoint(F7, Place(5, 1), v), 1)
+
+
 def test_oracle_agreement_randomized(C7, eflat, rng):
     from conftest import random_bundle, random_direction
     base_points = 0
@@ -79,24 +85,32 @@ def test_oracle_agreement_randomized(C7, eflat, rng):
     assert base_points >= 1
 
 
-def test_frame_independence(estar, C7, rng):
-    # rank is invariant under completions of the direction and under
-    # rescaling the uniformiser
+@pytest.mark.parametrize("name", ["estar", "esharp"])
+def test_frame_independence(name, C7, rng, request):
+    # the frame-adapted matrix (rows along v at orders <= k, along a random
+    # completion w below k, order-j entries scaled by c^j as for the
+    # uniformiser t/c) has rank osc_dim + 1; esharp's place (5,1) reads the
+    # raised frame
+    E = request.getfixturevalue(name)
     K = C7.field
-    for _ in range(20):
-        place = rng.choice(C7.points())
-        v = (1, rng.randrange(7))
-        x = ScrollPoint(K, place, v)
-        k = rng.randint(0, 2)
-        base = _rank(K, jet_matrix(estar, M0, x, k))
-        w = (rng.randrange(7), 1 + rng.randrange(6))
-        try:
-            alt = _rank(K, jet_matrix(estar, M0, x, k, completion=[w]))
-        except InputError:
-            continue
-        scale = 1 + rng.randrange(6)
-        scaled = _rank(K, jet_matrix(estar, M0, x, k, uniformiser_scale=scale))
-        assert alt == base and scaled == base
+    sections = h0(dual_twist(E, M0))
+    for place in C7.points():
+        for _ in range(2):
+            v = (1, rng.randrange(7)) if rng.random() < 0.5 else (0, 1)
+            w = v
+            while K.sub(K.mul(v[0], w[1]), K.mul(v[1], w[0])) == K.zero:
+                w = (rng.randrange(7), rng.randrange(7))
+            c = 1 + rng.randrange(6)
+            k = rng.randint(0, 2)
+            alphas = alpha_series(E, sections, place, k)
+
+            def row(u, j):
+                return [K.mul(K.dot(u, [coords[j] for coords in alpha]), K.pow(c, j))
+                        for alpha in alphas]
+
+            adapted = [row(v, j) for j in range(k + 1)] + [row(w, j) for j in range(k)]
+            x = ScrollPoint(K, place, v)
+            assert _rank(K, adapted) == osc_dim(E, M0, x, k, sections=sections) + 1
 
 
 def test_osc_dim_bounded_by_kr_and_n(estar, C7, rng):
