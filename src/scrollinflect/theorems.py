@@ -21,7 +21,7 @@ from .funcfield import FunctionRep, rr_basis
 from .linalg import mat_rank_kernel
 from .scroll import (ScanContext, ScrollPoint, _classify, adversarial_projection,
                      expected_dims, incidence_dim, lead_vectors, normalized_series,
-                     osc_dim, project_system, scan_report)
+                     osc_dim, project_system, scan_report, scan_reports)
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -329,7 +329,11 @@ class TheoremReport:
 
 
 class _ScanPool:
-    """Cache of ScanContexts keyed by (twist class, extension degree)."""
+    """Cache of ScanContexts keyed by (twist class, extension degree).
+
+    k_max is a cap, not a cost: each context expands a place only as deep
+    as it is scanned (ScanContext.orders_at), so a pool built for the
+    largest order asked for pays for it only where a scan gets there."""
 
     def __init__(self, E_spec, k_max):
         self.E = E_spec
@@ -540,11 +544,8 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     d_top_ok = True
     for M in passing:
         pool = _ScanPool(E_spec, k_prime)     # shared by clauses b and c
-        for k in range(k_prime):
-            if low_witness is not None:
-                break
-            low_witness = _witness_json(
-                pool.first_subfull([M], k, range(1, ext_degree + 1)))
+        # clause c scans at k' first, so its places are expanded once
+        # (ScanContext) and clause b reads prefixes of them
         per_e = []
         for e in top_degrees:
             rep = scan_report(pool.ctx(M, e), k_prime, cross_check=False)
@@ -554,6 +555,11 @@ def verify_generic_inflection(E_spec, ext_degree=2):
         counts[_divisor_key(curve, M)] = per_e
         if probed and per_e[-1] >= _hasse_curve_floor(curve.field.order ** 2):
             top_ok = False
+        for k in range(k_prime):
+            if low_witness is not None:
+                break
+            low_witness = _witness_json(
+                pool.first_subfull([M], k, range(1, ext_degree + 1)))
     clauses.append({"id": "b:lower-loci-empty", "pass": low_witness is None,
                     "k_range": list(range(k_prime)), "witness": low_witness})
     clauses.append({"id": "c:top-locus", "pass": top_ok and d_top_ok,
@@ -620,9 +626,8 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
     k_top = max(k_m, 1)
     full_ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=k_top,
                            sections=full_sections)
-    full_reports = {k: scan_report(full_ctx, k, cross_check=False)
-                    for k in range(k_top + 1)}
-    d_full = {k: full_reports[k].d_k for k in full_reports}
+    full_reports = scan_reports(full_ctx, k_top, cross_check=False)
+    d_full = {k: rep.d_k for k, rep in enumerate(full_reports)}
     hyp_ok = True
     if k_m >= 1:
         hyp_ok = d_full[k_m - 1] <= d_full[k_m] - r
@@ -639,8 +644,7 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
         general_count += 1
         ctx = ScanContext(E_spec, M, ext_degree=ext_degree, k_max=max(k_m - 1, 0),
                           sections=W)
-        for k in range(k_m):
-            rep = scan_report(ctx, k, cross_check=False)
+        for k, rep in enumerate(scan_reports(ctx, k_m - 1, cross_check=False)):
             if rep.d_k != d_full[k] or \
                     _deficiency_set(rep) != _deficiency_set(full_reports[k]):
                 all_match = False

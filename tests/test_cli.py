@@ -130,6 +130,29 @@ def test_witnesses_and_scan_and_project(capsys):
     assert code == 0 and doc["seed"] == 3
 
 
+@pytest.mark.parametrize("command", [["scan"], ["project", "--m", "5"]],
+                         ids=["scan", "project"])
+def test_scan_and_project_expand_each_place_once(command, monkeypatch, capsys):
+    """scan and project read every order up to --k = 3 from one context; the
+    top order is scanned first, so each place of C(F_7) is expanded once,
+    to depth 3, and the reports still come in the order of k."""
+    depths = []
+
+    def counted(E_spec, sections, place, k_max):
+        depths.append(k_max)
+        return expand(E_spec, sections, place, k_max)
+
+    expand = scroll.order_matrices
+    monkeypatch.setattr(scroll, "order_matrices", counted)
+    code, out = run_inproc(command + ["--instance", str(INSTANCES / "estar.json"),
+                                      "--k", "3", "--M", "[]"], capsys)
+    assert code == 0 and depths == [3] * 9
+    reports = json.loads(out)["reports"]
+    if command[0] == "project":
+        reports = reports[0]["reports"]
+    assert [rep["k"] for rep in reports] == [0, 1, 2, 3]
+
+
 def test_input_errors_exit_1(tmp_path, capsys):
     code, out = run_inproc(["osc", "--instance", str(tmp_path / "nope.json"),
                             "--k", "0"], capsys)

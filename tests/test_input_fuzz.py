@@ -6,8 +6,9 @@ A mutation drops a key of an object or swaps a value anywhere in the
 instance for an int (huge ones included), a bool, null, a string, a list or
 an object; each example applies one to three of them and runs one of nine
 commands.  Out-of-range sizes (a divisor multiplicity of 2^40, a divisor
-with -64 at each of three points, fields of order 1000003 and of a
-19-digit prime order) are refused before any work that grows with them.
+with -64 at each of three points, a divisor of 66 records, fields of order
+1000003 and of a 19-digit prime order) are refused before any work that
+grows with them.
 """
 
 import contextlib
@@ -127,11 +128,13 @@ def test_mutated_instances_exit_0_or_1_with_one_json_object(inst, command):
     (_with("estar", ("M",), [{"point": "O", "mult": 40}, {"point": "O", "mult": 25}]),
      "divisor multiplicity 65"),
     (WIDE_FACTOR, "divisor multiplicity 192"),
+    (_with("estar", ("M",), [{"point": "O", "mult": m} for _ in range(33) for m in (1, -1)]),
+     "divisor of 66 point records"),
     (BIG_PRIME, f"field order {PRIME_7_DIGITS}"),
     (HUGE_PRIME, f"field order {PRIME_19_DIGITS}"),
     (HUGE_EXTENSION, f"field order {PRIME_19_DIGITS ** 2}"),
-], ids=["mult-2^40", "mult-65-summed", "mult-192-total", "p-1000003", "p-19-digits",
-        "extension-19-digits"])
+], ids=["mult-2^40", "mult-65-summed", "mult-192-total", "records-66", "p-1000003",
+        "p-19-digits", "extension-19-digits"])
 def test_out_of_range_sizes_exit_1_naming_the_value(inst, named):
     code, out = _run(inst, ("curve-info",))
     assert code == 1

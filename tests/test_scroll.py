@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from scrollinflect.bundle import BundleSpec, dual_twist, h0, normalized_series
@@ -6,12 +8,15 @@ from scrollinflect.errors import InputError, Unsupported
 from scrollinflect.fields import extension_of
 from scrollinflect.funcfield import FunctionRep
 from scrollinflect.linalg import mat_rank_kernel
+from scrollinflect import scroll
 from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
-                                  adversarial_projection, alpha_series, jet_matrix,
+                                  adversarial_projection, alpha_series,
+                                  frobenius_orbits, jet_matrix,
                                   order_matrices, osc_dim, osc_dim_oracle,
                                   project_system,
                                   projective_points, scan_report, standard_basis,
                                   subsheaf_witnesses, witness_sets)
+from scrollinflect.theorems import verify_projection
 
 P31 = Place(3, 1)
 M0 = Divisor()
@@ -350,18 +355,104 @@ def test_lifted_sections_equal_extension_h0(name, e, request, C7):
         assert ctx.sections.vectors == ref.vectors
 
 
+def _request_orders(curve, e, top):
+    """Lists of (place, k) requests to orders_at over C(F_{q^e}): ascending
+    k = 0..top, top first, and (at e > 1) every image place asked for top,
+    last image of each orbit first, while its orbit leader has been
+    expanded only for k = 0."""
+    places = curve.base_change(e).points()
+    ascending = [(place, k) for k in range(top + 1) for place in places]
+    out = [ascending, [(place, top) for place in places] + ascending]
+    if e > 1:
+        orbits = frobenius_orbits(curve, e)
+        out.append([(orbit[0], 0) for orbit in orbits]
+                   + [(image, top) for orbit in orbits for image in orbit[:0:-1]]
+                   + ascending)
+    return out
+
+
+def _orders_mismatches(E, M, e, k_max):
+    """(order of requests, place, k) where orders_at(place, k), on a fresh
+    context per order of requests, returns k or fewer orders, or differs
+    from order_matrices expanded at the place itself to k_max and cut to
+    the returned length."""
+    direct = {}
+    out = []
+    for i, requests in enumerate(_request_orders(E.curve, e, k_max)):
+        ctx = ScanContext(E, M, ext_degree=e, k_max=k_max)
+        for place, k in requests:
+            got = ctx.orders_at(place, k)
+            if place not in direct:
+                direct[place] = order_matrices(ctx.E, ctx.sections, place, k_max)
+            if len(got) <= k or got != direct[place][:len(got)]:
+                out.append((i, place, k))
+    return out
+
+
 @pytest.mark.parametrize("e", [2, 3])
 @pytest.mark.parametrize("name", ["estar", "esharp", "eflat"])
 def test_orbit_shared_orders_equal_direct_expansion(name, e, request, C7):
     """Order matrices read from the first place of a Frobenius orbit equal
-    those expanded at the place itself; at e = 3 a map by sigma^-1 in place
-    of sigma would differ."""
+    those expanded at the place itself, whatever order the depths are asked
+    for in (k_max = 3, so the first request at k = 0 stops short and a
+    later one re-expands); at e = 3 a map by sigma^-1 in place of sigma
+    would differ."""
     E = request.getfixturevalue(name)
     for M in (M0, Divisor({P31: 1, INFINITY: -1})):
-        ctx = ScanContext(E, M, ext_degree=e, k_max=2)
-        for place in ctx.places:
-            assert ctx.orders_at(place) == order_matrices(ctx.E, ctx.sections, place,
-                                                          ctx.k_max), place
+        assert _orders_mismatches(E, M, e, 3) == [], M
+
+
+def _count_expansions(monkeypatch):
+    """(sections, place, depth) of every order_matrices call from here on."""
+    calls = []
+
+    def counted(E_spec, sections, place, k_max):
+        calls.append((sections, place, k_max))
+        return expand(E_spec, sections, place, k_max)
+
+    expand = scroll.order_matrices
+    monkeypatch.setattr(scroll, "order_matrices", counted)
+    return calls
+
+
+def test_places_are_expanded_as_deep_as_they_are_scanned(estar, C7, monkeypatch):
+    """The depth rule of ScanContext.orders_at: a first request at k expands
+    to min(k + 2, k_max) and a deeper one to k_max, each place once per
+    depth, orbit leaders only."""
+    leaders = [orbit[0] for orbit in frobenius_orbits(C7, 2)]
+    assert len(leaders) == 36
+    calls = _count_expansions(monkeypatch)
+    ctx = ScanContext(estar, M0, ext_degree=2, k_max=5)
+    for k in range(3):
+        ctx.scan_level(k)
+    assert [(place, depth) for _, place, depth in calls] == [(p, 2) for p in leaders]
+    ctx.scan_level(3)
+    assert [(place, depth) for _, place, depth in calls[36:]] == \
+        [(p, 5) for p in leaders]
+    calls.clear()
+    ScanContext(estar, M0, ext_degree=2, k_max=5).scan_level(4)
+    assert [(place, depth) for _, place, depth in calls] == [(p, 5) for p in leaders]
+
+
+@pytest.mark.parametrize("degree, m_plus_1, k_top", [(-4, 7, 3), (-5, 9, 4)])
+def test_projection_expands_each_place_of_each_context_once(degree, m_plus_1, k_top,
+                                                            C7, monkeypatch):
+    """verify_projection scans its full context at every order up to k_top
+    and each accepted draw at every order below k_m, the top one first, so
+    every context expands each place once (at m + 1 = 9 the draws are
+    scanned up to k = 3, past the depth of a first request at k = 0).  The
+    full system's sections (dimension -2 * degree) tell its calls from
+    those of the subsystems, and it is expanded to k_top."""
+    E = BundleSpec(C7, [single(INFINITY, degree), single(INFINITY, degree)])
+    calls = _count_expansions(monkeypatch)
+    verify_projection(E, M0, m_plus_1, range(2))
+    expanded = Counter((id(sections), place) for sections, place, _ in calls)
+    assert set(expanded.values()) == {1}
+    full = [(sections, place, depth) for sections, place, depth in calls
+            if sections.dimension == -2 * degree]
+    assert len({id(sections) for sections, _, _ in full}) == 1
+    assert sorted(depth for _, _, depth in full) == [k_top] * len(C7.points())
+    assert {place for _, place, _ in full} == set(C7.points())
 
 
 def test_scan_context_rejects_sections_on_another_curve(estar):
@@ -412,10 +503,7 @@ def test_no_orbits_are_formed_over_an_extension_base_field(F7):
         for M in [M0] + [Divisor({T: 1, INFINITY: -1}) for T in moved[1:3]]:
             for k in range(3):
                 assert _witness_mismatches(E, M, k) == [], (E.factors, M, k)
-            ctx = ScanContext(E, M, k_max=2)
-            for place in ctx.places:
-                assert ctx.orders_at(place) == order_matrices(ctx.E, ctx.sections,
-                                                              place, 2), (M, place)
+            assert _orders_mismatches(E, M, 1, 3) == [], (E.factors, M)
 
 
 def test_witness_orbit_by_inverse_frobenius_is_caught(esharp, monkeypatch):

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: the stdout SHA-256 and exit code of 221 CLI commands.
+"""Byte-identity sweep: the stdout SHA-256 and exit code of 227 CLI commands.
 
     python3 tools/sweep.py                   # this checkout's working tree
     python3 tools/sweep.py --against HEAD    # and a committed revision, compared
@@ -7,11 +7,13 @@ The commands are, on each of the three `instances/` at `--ext` 1, 2 and 3:
 `osc`, `scan` and `witnesses` with `--M all` at k = 0, 1, 2;
 `segre --method bruteforce`; `sections --M all`; `project --m 3 --k 2`;
 `curve-info`; `hypothesis-nilpotent`; and `verify` mainA, mainB, mainBmod,
-mainC and `appendixA --m 3 --seeds 6` (171 commands).  Then `bounds`, which
-reads no instance, on r = 2, 3, d = -9 .. -4 and g = 1, without and with
-`--m 3` (24 commands).  Then the 26 perfbench tasks of seed 1, pass 0 (ten
-threshold-verify, ten witness-crosscheck, six projection-scan), with the
-argv their workload gives.
+mainC and `appendixA --m 3 --seeds 6`; at `--ext` 1 and 2 also
+`osc --M all --k 4`, a context scanned directly at an order above 2 (177
+commands).  Then `bounds`, which reads no instance, on r = 2, 3,
+d = -9 .. -4 and g = 1, without and with `--m 3` (24 commands).  Then the
+26 perfbench tasks of seed 1, pass 0 (ten threshold-verify, ten
+witness-crosscheck, six projection-scan), with the argv their workload
+gives.
 
 Each command runs in its own `python3 -m scrollinflect.cli` process with the
 tree's `src/` on PYTHONPATH, one at a time.  Both sides read the same input
@@ -40,7 +42,7 @@ BENCH_SEED = 1
 
 
 def instance_commands():
-    """The 171 commands on the committed instances: (label, argv)."""
+    """The 177 commands on the committed instances: (label, argv)."""
     out = []
     for name in INSTANCES:
         path = os.path.join(ROOT, "instances", name + ".json")
@@ -53,6 +55,8 @@ def instance_commands():
                       ["hypothesis-nilpotent"]]
             argvs += [["verify", t] for t in ("mainA", "mainB", "mainBmod", "mainC")]
             argvs.append(["verify", "appendixA", "--m", "3", "--seeds", "6"])
+            if e < 3:
+                argvs.append(["osc", "--M", "all", "--k", "4"])
             out += [(f"{name} ext {e}: {' '.join(a)}", a + tail) for a in argvs]
     return out
 
