@@ -106,17 +106,6 @@ class BundleSpec:
     def is_decomposable(self):
         return not self.modifications
 
-    def validate_presentation(self):
-        """User-facing invariants: simple conditions at pairwise distinct places."""
-        seen = set()
-        for mod in self.modifications:
-            if not mod.is_simple:
-                raise InputError("user bundles carry single order-0 conditions only")
-            if mod.place in seen:
-                raise InputError("modification places must be pairwise distinct")
-            seen.add(mod.place)
-        return self
-
     def mods_at(self, place):
         return [m for m in self.modifications if m.place == place]
 
@@ -136,25 +125,6 @@ class BundleSpec:
                  "codirection": [c.field.elt_to_json(v) for v in m.codirection()]}
                 for m in self.modifications],
         }
-
-    @classmethod
-    def from_json(cls, curve, obj):
-        K = curve.field
-        if "factors" not in obj:
-            raise InputError(f"bundle {obj!r} has no 'factors' key")
-        factors, mods = obj["factors"], obj.get("modifications", [])
-        if not isinstance(factors, list) or not isinstance(mods, list):
-            raise InputError("bundle factors and modifications must be lists")
-        for m in mods:
-            if not isinstance(m, dict) or not isinstance(m.get("codirection"), list):
-                raise InputError("a modification is an object with a codirection list")
-            if "point" not in m:
-                raise InputError(f"modification {m!r} has no 'point' key")
-        factors = [curve.divisor_from_json(f) for f in factors]
-        mods = [Modification.simple(curve.place_from_json(m["point"]),
-                                    [K.elt_from_json(v) for v in m["codirection"]])
-                for m in mods]
-        return cls(curve, factors, mods).validate_presentation()
 
     def __repr__(self):
         return (f"BundleSpec(r={self.rank}, d={self.degree}, "

@@ -5,6 +5,11 @@ violation (the two osculating-dimension routes disagreeing, or a failed
 witness correspondence).  Output is byte-stable for identical inputs and
 seeds: keys are sorted and every number is emitted through the exact
 serializers.
+
+Each instance record is read and checked once, by the decoders after
+Instance: JSON shapes, integers and size limits (docs/schema.md).  Elements
+decode through the field's elt_from_json; the engine constructors keep the
+mathematical checks (a prime p, a nonsingular curve, a point on it, ...).
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import argparse
 import json
 import sys
 
-from .bundle import BundleSpec, dual_twist, h0
-from .curve import Curve
+from .bundle import BundleSpec, Modification, dual_twist, h0
+from .curve import INFINITY, Curve, Divisor, Place
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
-from .fields import field_from_desc
+from .fields import ExtensionField, PrimeField, RationalField, find_irreducible
 from .scroll import ScanContext, project_system, scan_report, scan_reports, witness_sets
 from .theorems import (hirschowitz_bound, kprime_expected_dims,
                        nilpotent_rank1_exists, segre1, verify_cohomological_stability,
@@ -25,54 +30,46 @@ from .theorems import (hirschowitz_bound, kprime_expected_dims,
 
 
 class Instance:
-    """Parsed instance file: field, curve, bundle, twist selector, parameters."""
+    """Parsed instance file: field, curve, bundle, twist classes, parameters,
+    the flags in args overriding the file's parameters and selector.  Of
+    several faults the first in this order is reported: field, curve,
+    bundle, type of parameters, --M, parameter values, twist selector."""
 
-    def __init__(self, obj):
+    def __init__(self, obj, args):
         if not isinstance(obj, dict):
             raise InputError("an instance file must hold a JSON object")
-        self.field = field_from_desc(_json_object(obj, "field"))
+        self.field = K = _field(_json_object(obj, "field"))
         cdesc = _json_object(obj, "curve")
-        a4 = self.field.elt_from_json(_required(cdesc, "a4", "curve"))
-        a6 = self.field.elt_from_json(_required(cdesc, "a6", "curve"))
-        self.curve = Curve(self.field, a4, a6)
-        self.bundle = BundleSpec.from_json(self.curve, _json_object(obj, "bundle"))
-        self.M_selector = obj.get("M", [])
-        self.twists = None
+        self.curve = Curve(K, K.elt_from_json(_required(cdesc, "a4", "curve")),
+                           K.elt_from_json(_required(cdesc, "a6", "curve")))
+        self.bundle = _bundle(self.curve, _json_object(obj, "bundle"))
         params = obj.get("parameters") or {}
         if not isinstance(params, dict):
             raise InputError("parameters must be an object")
-        self.k = params.get("k", 0)
-        self.ext_degree = params.get("ext_degree", 1)
-        self.seed = params.get("seed", 0)
-        self.m = params.get("m")
-
-    def check_parameters(self):
-        """k, ext_degree, seed and m (or null) must be ints, not bools, with
-        k >= 0 and 1 <= ext_degree <= 3."""
-        for name in ("k", "ext_degree", "seed", "m"):
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "m" and value is None):
-                raise InputError(f"parameter {name} is not an integer: {value!r}")
+        selector = obj.get("M", []) if args.M is None else _twist_flag(args.M)
+        for name, flag, default in (("k", "k", 0), ("ext_degree", "ext", 1),
+                                    ("seed", "seed", 0), ("m", "m", None)):
+            value = getattr(args, flag)
+            if value is None:
+                value = params.get(name, default)
+            if value is not None or name != "m":
+                _int(value, f"parameter {name} is not an integer: {{}}")
+            setattr(self, name, value)
         if self.k < 0:
             raise InputError("parameter k must be nonnegative")
+        if self.k >= _MULT_MAX:
+            raise InputError(f"parameter k = {self.k} exceeds {_MULT_MAX - 1}")
         if not 1 <= self.ext_degree <= 3:
             raise InputError("parameter ext_degree must be 1, 2 or 3")
+        self.twists = _twists(self.curve, selector)
 
-    def check_twists(self):
-        """Set twists to the selected degree-0 classes: all of Pic^0 for
-        "all", else the one divisor the selector lists ([] is the trivial
-        class).  Any other selector, or a divisor of nonzero degree, is an
-        input error."""
-        sel = self.M_selector
-        if sel == "all":
-            if not self.field.is_finite:
-                raise InputError("'all' twists need a finite field")
-            self.twists = self.curve.pic0_representatives()
-            return
-        D = self.curve.divisor_from_json(sel)
-        if D.degree != 0:
-            raise InputError("twist class must have degree zero")
-        self.twists = [D]
+
+# Largest sum of |multiplicity| over the points of a divisor read from input.
+# It bounds each multiplicity and |deg D| (L(D) has deg D basis functions, and
+# principal_function takes one Miller step per unit), a divisor's number of
+# records (checked before any is read), k + 1 (a witness multiplicity) and
+# |d| / r in `bounds`.  Committed inputs reach 8, 3 records and k = 5.
+_MULT_MAX = 64
 
 
 def _required(obj, key, where="the instance"):
@@ -88,15 +85,106 @@ def _json_object(obj, key):
     return value
 
 
+def _int(value, error):
+    """value if it is a JSON integer (not a bool); else an InputError whose
+    message is error with {} replaced by repr(value)."""
+    if type(value) is not int:
+        raise InputError(error.format(repr(value)))
+    return value
+
+
+def _field(desc):
+    """F_p, F_{p^e} (by default modulo the smallest irreducible) or Q."""
+    kind = desc.get("kind")
+    if kind == "rationals":
+        return RationalField()
+    if kind not in ("prime", "extension"):
+        raise InputError(f"unknown field kind {kind!r}")
+    where = f"the {kind} field record"
+    p = _int(_required(desc, "p", where), "field p is not an integer: {}")
+    if kind == "prime":
+        return PrimeField(p)
+    degree = _int(_required(desc, "degree", where), "field degree is not an integer: {}")
+    modulus = desc.get("modulus") or find_irreducible(p, degree)
+    if not isinstance(modulus, list) or len(modulus) != degree + 1:
+        raise InputError("modulus is not a list of degree + 1 coefficients")
+    return ExtensionField(p, [_int(c, "field modulus entry is not an integer: {}")
+                              for c in modulus])
+
+
+def _place(curve, obj):
+    """The point "O", or the two coordinates [x, y] of a point on the curve."""
+    if obj == "O":
+        return INFINITY
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise InputError(f"point {obj!r} is neither \"O\" nor two coordinates")
+    K = curve.field
+    return curve.check_place(Place(K.elt_from_json(obj[0]), K.elt_from_json(obj[1])))
+
+
+def _divisor(curve, obj):
+    """A list of at most _MULT_MAX {"point", "mult"} records, summed per point."""
+    if not isinstance(obj, list):
+        raise InputError(f"divisor {obj!r} is not a list of point records")
+    if len(obj) > _MULT_MAX:
+        raise InputError(f"divisor of {len(obj)} point records exceeds "
+                         f"{_MULT_MAX} records")
+    D = Divisor()
+    for rec in obj:
+        if not isinstance(rec, dict):
+            raise InputError(f"divisor record {rec!r} is not a JSON object")
+        where = f"divisor record {rec!r}"
+        _required(rec, "point", where)
+        mult = _int(_required(rec, "mult", where), "divisor multiplicity {} is not an integer")
+        D.add_place(_place(curve, rec["point"]), mult)
+    total = sum(abs(m) for m in D.support.values())
+    if total > _MULT_MAX:
+        raise InputError(f"divisor multiplicity {total} (the sum of |mult| over its "
+                         f"points) exceeds {_MULT_MAX}")
+    return D
+
+
+def _bundle(curve, obj):
+    """Split factors with single order-0 conditions at distinct places."""
+    factors = _required(obj, "factors", f"bundle {obj!r}")
+    mods = obj.get("modifications", [])
+    if not isinstance(factors, list) or not isinstance(mods, list):
+        raise InputError("bundle factors and modifications must be lists")
+    for m in mods:
+        if not isinstance(m, dict) or not isinstance(m.get("codirection"), list):
+            raise InputError("a modification is an object with a codirection list")
+        _required(m, "point", f"modification {m!r}")
+    K = curve.field
+    spec = BundleSpec(curve, [_divisor(curve, f) for f in factors],
+                      [Modification.simple(_place(curve, m["point"]),
+                                           [K.elt_from_json(v) for v in m["codirection"]])
+                       for m in mods])
+    if len({m.place for m in spec.modifications}) < len(mods):
+        raise InputError("modification places must be pairwise distinct")
+    return spec
+
+
+def _twists(curve, selector):
+    """All of Pic^0 for "all", else the one degree-0 divisor the selector
+    lists ([] is the trivial class)."""
+    if selector == "all":
+        if not curve.field.is_finite:
+            raise InputError("'all' twists need a finite field")
+        return curve.pic0_representatives()
+    D = _divisor(curve, selector)
+    if D.degree != 0:
+        raise InputError("twist class must have degree zero")
+    return [D]
+
+
 def _twist_flag(text):
     """The --M value: "all", or JSON for a list of point records (checked
-    as a divisor by Instance.check_twists).  Anything else is an input
-    error that names the flag and its value."""
+    as a divisor by _twists); anything else is an error naming the value."""
     if text == "all":
         return text
     try:
         sel = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:                  # an integer of too many digits too
         raise InputError(f"--M {text!r} is not JSON: {e}") from None
     if not isinstance(sel, list) and sel != "all":
         raise InputError(f"--M {text!r} is neither \"all\" nor a list of point records")
@@ -104,27 +192,15 @@ def _twist_flag(text):
 
 
 def load_instance(path, overrides):
+    """The Instance in the JSON file at path, with the flags in overrides."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read instance {path!r}: {e.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:     # not UTF-8, not JSON, or an integer of too many digits
         raise InputError(f"instance {path!r} is not UTF-8 JSON: {e}") from None
-    inst = Instance(obj)
-    if overrides.k is not None:
-        inst.k = overrides.k
-    if overrides.ext is not None:
-        inst.ext_degree = overrides.ext
-    if overrides.seed is not None:
-        inst.seed = overrides.seed
-    if overrides.m is not None:
-        inst.m = overrides.m
-    if overrides.M is not None:
-        inst.M_selector = _twist_flag(overrides.M)
-    inst.check_parameters()
-    inst.check_twists()
-    return inst
+    return Instance(obj, overrides)
 
 
 def emit(payload):
@@ -227,13 +303,14 @@ def cmd_segre(inst, args):
 
 
 def cmd_bounds(args):
-    out = {"command": "bounds"}
     if args.r is None or args.d is None or args.g is None:
         raise InputError("bounds needs --r, --d, --g (and optionally --n, --m)")
     n = args.n if args.n is not None else 1
     bound, delta = hirschowitz_bound(args.r, n, args.d, args.g)
-    out["bound"] = bound
-    out["delta"] = delta
+    if abs(args.d) > _MULT_MAX * args.r:     # the system's size grows with |d| / r
+        raise InputError(f"bounds --d {args.d} exceeds {_MULT_MAX} * r = "
+                         f"{_MULT_MAX * args.r} in absolute value")
+    out = {"command": "bounds", "bound": bound, "delta": delta}
     try:
         out["system"] = _jsonable(kprime_expected_dims(args.r, args.d, args.g,
                                                        m=args.m))

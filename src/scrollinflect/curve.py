@@ -38,16 +38,6 @@ class Place:
 
 INFINITY = Place()
 
-# Largest sum of |multiplicity| over the points of a divisor read from input,
-# which also bounds each multiplicity and |deg D|: L(D) has deg D basis
-# functions and principal_function takes one Miller step per unit at an
-# affine place.  64 is eight times the largest total read from any committed
-# instance, test or benchmark input (8); 2^40 would never finish.  It also
-# caps the number of point records of a divisor, checked before any is read
-# (records of one point are merged, so their count is not bounded by the
-# total; the most any such input has is 3).
-_MULT_MAX = 64
-
 
 class Divisor:
     """Formal Z-combination of places, held as a support map."""
@@ -362,39 +352,8 @@ class Curve:
         K = self.field
         return [K.elt_to_json(place.x), K.elt_to_json(place.y)]
 
-    def place_from_json(self, obj):
-        if obj == "O":
-            return INFINITY
-        if not isinstance(obj, list) or len(obj) != 2:
-            raise InputError(f"point {obj!r} is neither \"O\" nor two coordinates")
-        K = self.field
-        return self.check_place(Place(K.elt_from_json(obj[0]), K.elt_from_json(obj[1])))
-
     def divisor_to_json(self, D):
         return [{"point": self.place_to_json(p), "mult": m} for p, m in D.items_sorted()]
-
-    def divisor_from_json(self, obj):
-        if not isinstance(obj, list):
-            raise InputError(f"divisor {obj!r} is not a list of point records")
-        if len(obj) > _MULT_MAX:
-            raise InputError(f"divisor of {len(obj)} point records exceeds "
-                             f"{_MULT_MAX} records")
-        D = Divisor()
-        for rec in obj:
-            if not isinstance(rec, dict):
-                raise InputError(f"divisor record {rec!r} is not a JSON object")
-            for key in ("point", "mult"):
-                if key not in rec:
-                    raise InputError(f"divisor record {rec!r} has no {key!r} key")
-            mult = rec["mult"]
-            if not isinstance(mult, int) or isinstance(mult, bool):
-                raise InputError(f"divisor multiplicity {mult!r} is not an integer")
-            D.add_place(self.place_from_json(rec["point"]), mult)
-        total = sum(abs(m) for m in D.support.values())
-        if total > _MULT_MAX:
-            raise InputError(f"divisor multiplicity {total} (the sum of |mult| over its "
-                             f"points) exceeds {_MULT_MAX}")
-        return D
 
     def __eq__(self, other):
         return (isinstance(other, Curve) and other.field == self.field

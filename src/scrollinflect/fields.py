@@ -20,6 +20,7 @@ C(F_{p^e}); base change swaps the curve and converts no values.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -28,6 +29,24 @@ _EXT_DEGREE_MAX = 3
 # Largest field order q, prime or extension: the log/Zech-log tables, a
 # curve's point list and the root search take O(q) time and memory.
 _FIELD_ORDER_MAX = 20000
+
+
+# ASCII digits with an optional leading minus: "\d" would take any Unicode
+# digit, as int() does
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(obj):
+    """obj as an int if it is a JSON integer (not a bool) or the decimal
+    string of one, else None."""
+    if type(obj) is int:
+        return obj
+    if isinstance(obj, str) and _INTEGER.fullmatch(obj):
+        try:
+            return int(obj)
+        except ValueError:          # more digits than int() converts
+            pass
+    return None
 
 
 def _check_order(q):
@@ -77,6 +96,12 @@ class Field:
     def is_finite(self):
         return self.order is not None
 
+    def validate(self, a):
+        """a, if it is an element of this finite field: an int in [0, order)."""
+        if not isinstance(a, int) or not 0 <= a < self.order:
+            raise InputError(f"{a!r} is not a reduced element of {self!r}")
+        return a
+
 
 class PrimeField(Field):
     """F_p, p prime, p not in {2, 3}; elements are ints in [0, p)."""
@@ -118,19 +143,15 @@ class PrimeField(Field):
     def elements(self):
         return range(self.p)
 
-    def validate(self, a):
-        if not isinstance(a, int) or not (0 <= a < self.p):
-            raise InputError(f"{a!r} is not a reduced element of F_{self.p}")
-        return a
-
     def elt_to_json(self, a):
         return str(a)
 
     def elt_from_json(self, obj):
-        try:
-            return int(obj) % self.p
-        except (TypeError, ValueError):
-            raise InputError(f"{obj!r} is not an element of F_{self.p}") from None
+        """An integer, read mod p (see _integer)."""
+        n = _integer(obj)
+        if n is None:
+            raise InputError(f"{obj!r} is not an element of F_{self.p}")
+        return n % self.p
 
     def desc(self):
         return {"kind": "prime", "p": self.p}
@@ -285,21 +306,16 @@ class ExtensionField(Field):
     def elements(self):
         return range(self.order)
 
-    def validate(self, a):
-        if not isinstance(a, int) or not (0 <= a < self.order):
-            raise InputError(f"{a!r} is not a packed element of F_{self.p}^{self.degree}")
-        return a
-
     def elt_to_json(self, a):
         return self._unpack(a)
 
     def elt_from_json(self, obj):
-        try:
-            if isinstance(obj, (int, str)):
-                return int(obj) % self.p
-            return self._pack([int(c) for c in obj])
-        except (TypeError, ValueError):
-            raise InputError(f"{obj!r} is not an element of {self!r}") from None
+        """An integer, a constant of F_p read mod p (see _integer), or a
+        list of at most degree of them, the little-endian coefficients."""
+        coeffs = [_integer(c) for c in obj] if isinstance(obj, list) else [_integer(obj)]
+        if None in coeffs or len(coeffs) > self.degree:
+            raise InputError(f"{obj!r} is not an element of {self!r}")
+        return self._pack(coeffs)
 
     def desc(self):
         return {"kind": "extension", "p": self.p, "degree": self.degree,
@@ -358,12 +374,12 @@ class RationalField(Field):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def elt_from_json(self, obj):
-        if isinstance(obj, int):
-            return Fraction(obj)
-        try:
-            return Fraction(str(obj))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{obj!r} is not a rational number") from None
+        """An integer (see _integer), or a string "n/d" of two, d nonzero."""
+        num, sep, den = obj.partition("/") if isinstance(obj, str) else (obj, "", "")
+        n, d = _integer(num), _integer(den) if sep else 1
+        if n is None or not d:
+            raise InputError(f"{obj!r} is not a rational number")
+        return Fraction(n, d)
 
     def desc(self):
         return {"kind": "rationals"}
@@ -393,43 +409,10 @@ def find_irreducible(p, degree):
     if degree == 1:
         return [0, 1]
     for packed in range(p ** degree):
-        coeffs = []
-        n = packed
-        for _ in range(degree):
-            coeffs.append(n % p)
-            n //= p
-        coeffs.append(1)
+        coeffs = [packed // p ** i % p for i in range(degree)] + [1]
         if all(_poly_eval_mod(coeffs, x, p) != 0 for x in range(p)):
             return coeffs
     raise InputError("no irreducible found")  # unreachable for prime p
-
-
-def _json_int(value, what):
-    if type(value) is not int:
-        raise InputError(f"field {what} is not an integer: {value!r}")
-    return value
-
-
-def _field_int(desc, key):
-    """The integer under key in a field record; a missing key is named."""
-    if key not in desc:
-        raise InputError(f"the {desc.get('kind')} field record has no {key!r} key")
-    return _json_int(desc[key], key)
-
-
-def field_from_desc(desc):
-    kind = desc.get("kind")
-    if kind == "prime":
-        return PrimeField(_field_int(desc, "p"))
-    if kind == "extension":
-        p, degree = _field_int(desc, "p"), _field_int(desc, "degree")
-        modulus = desc.get("modulus") or find_irreducible(p, degree)
-        if not isinstance(modulus, list) or len(modulus) != degree + 1:
-            raise InputError("modulus is not a list of degree + 1 coefficients")
-        return ExtensionField(p, [_json_int(c, "modulus entry") for c in modulus])
-    if kind == "rationals":
-        return RationalField()
-    raise InputError(f"unknown field kind {kind!r}")
 
 
 def extension_of(field, e):

@@ -34,8 +34,6 @@ garbage collection.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .curve import INFINITY, Divisor, Place, single
 from .errors import DomainError, InputError, InvariantViolation
 from .series import LaurentSeries
@@ -534,7 +532,7 @@ class _RRData:
         self.rows = {}
 
 
-class RRBasis(Sequence):
+class RRBasis:
     """The basis b * hinv of L(D) that rr_basis returns, read through its
     factors.
 
@@ -543,9 +541,8 @@ class RRBasis(Sequence):
     named by a key (pole order at O, or the pole T) that names it on every
     curve, and hinv = 1/h for h with divisor D - target.  Those factors
     live in the curve's memo (_RRData).  The products b * hinv are formed
-    only when the basis is read as functions (iteration, indexing or
-    comparison with a list); its length and its expansions
-    (normalized_rows) need only the factors.
+    only when the basis is iterated (functions); its length and its
+    expansions (normalized_rows) need only the factors.
     """
 
     def __init__(self, curve, D, data=None):
@@ -557,16 +554,8 @@ class RRBasis(Sequence):
     def __len__(self):
         return 0 if self._data is None else len(self._data.keys)
 
-    def __getitem__(self, i):
-        return self.functions[i]
-
     def __iter__(self):
         return iter(self.functions)
-
-    def __eq__(self, other):
-        if isinstance(other, (list, RRBasis)):
-            return self.functions == list(other)
-        return NotImplemented
 
     @property
     def functions(self):

@@ -4,6 +4,7 @@ import pytest
 
 from scrollinflect.bundle import (BundleSpec, Modification, chi_h1, dual_twist,
                                   elementary_transform, h0, normalized_series, wedge)
+from scrollinflect.cli import _bundle
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
 from scrollinflect.linalg import mat_rank_kernel
@@ -20,11 +21,11 @@ def test_degree_and_rank_bookkeeping(estar, esharp):
 def test_validation_rejects_bad_modifications(C7):
     with pytest.raises(InputError):
         BundleSpec(C7, [single(INFINITY, -1)], [Modification.simple(P31, (0,))])
-    spec = BundleSpec(C7, [single(INFINITY, -1), single(INFINITY, -2)],
-                      [Modification.simple(P31, (1, 0)),
-                       Modification.simple(P31, (0, 1))])
-    with pytest.raises(InputError):
-        spec.validate_presentation()
+    record = {"factors": [[{"point": "O", "mult": -1}], [{"point": "O", "mult": -2}]],
+              "modifications": [{"point": ["3", "1"], "codirection": ["1", "0"]},
+                                {"point": ["3", "1"], "codirection": ["0", "1"]}]}
+    with pytest.raises(InputError, match="pairwise distinct"):
+        _bundle(C7, record)
 
 
 def test_dual_twist_of_decomposable(C7):
@@ -149,7 +150,7 @@ def test_section_basis_independence_certificate(estar):
 
 
 def test_bundle_json_roundtrip(C7, esharp):
-    again = BundleSpec.from_json(C7, esharp.to_json())
+    again = _bundle(C7, esharp.to_json())
     assert again.factors == esharp.factors
     assert [m.place for m in again.modifications] == \
         [m.place for m in esharp.modifications]

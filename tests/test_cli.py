@@ -295,6 +295,125 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert run_inproc(["osc", "--help"], capsys)[0] == 0
 
 
+ESHARP = json.loads((INSTANCES / "esharp.json").read_text())
+F49 = {"kind": "extension", "p": 7, "degree": 2}
+# a curve over Q whose bundle has no affine point, so a coefficient read as
+# a nearby number still gives a valid instance
+OVER_Q = {"field": {"kind": "rationals"}, "curve": {"a4": "-1", "a6": "0"},
+          "bundle": {"factors": [[{"point": "O", "mult": -2}]] * 2}, "M": []}
+
+
+def _edited(doc, path, value, field=None):
+    doc = json.loads(json.dumps(doc))
+    if field is not None:
+        doc["field"] = field
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+COD = ("bundle", "modifications", 0, "codirection")
+
+
+def _assert_refused(doc, command, named, tmp_path, capsys):
+    """An element is an integer (a JSON integer, not a bool, or a string of
+    ASCII digits with an optional leading minus), over F_{p^e} also a list
+    of at most e integers, over Q also a string "n/d"; anything else exits 1
+    with an error that names the value instead of running on a nearby one."""
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_inproc([command, "--instance", str(path)], capsys)
+    assert code == 1 and json.loads(out)["error"] == "InputError: " + named
+
+
+@pytest.mark.parametrize("doc, command, named", [
+    # F_7: the parent ran a6 = 2.7 as 2, a4 = 0.5 as 0 and " 2" as 2 (exit 0);
+    # true as 1 (a singular curve); "2_0" and the Arabic-Indic digit three as
+    # 20 and 3 (a bundle point off the curve)
+    (_edited(ESHARP, ("curve", "a6"), 2.7), "osc", "2.7"),
+    (_edited(ESHARP, ("curve", "a4"), 0.5), "osc", "0.5"),
+    (_edited(ESHARP, ("curve", "a4"), True), "osc", "True"),
+    (_edited(ESHARP, ("curve", "a6"), " 2"), "osc", "' 2'"),
+    (_edited(ESHARP, ("curve", "a6"), "2_0"), "osc", "'2_0'"),
+    (_edited(ESHARP, ("curve", "a6"), "\u0663"), "osc", "'\u0663'"),
+    # a point [5.9, 1] and a codirection [true, "1"] ran as (5, 1) and (1, 1)
+    (_edited(ESHARP, ("bundle", "modifications", 0, "point"), [5.9, 1]), "osc", "5.9"),
+    (_edited(ESHARP, COD, [True, "1"]), "osc", "True"),
+], ids=["float", "half", "bool", "space", "underscore", "unicode-digit", "float-point",
+        "bool-codirection"])
+def test_prime_field_elements_decode_strictly(doc, command, named, tmp_path, capsys):
+    _assert_refused(doc, command, f"{named} is not an element of F_7", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("doc, command, named", [
+    # F_49: a list of more than two coefficients packed past 49 and ended
+    # in an IndexError in the row reduction
+    (_edited(ESHARP, COD, ["1", [0, 0, 1]], F49), "osc", "[0, 0, 1] is not an element of F_7^2"),
+    (_edited(ESHARP, COD, [[1, 2, 3], "1"], F49), "osc", "[1, 2, 3] is not an element of F_7^2"),
+    # Q: "0.5", "1e3" and true ran as 1/2, 1000 and 1 (exit 0)
+    (_edited(OVER_Q, ("curve", "a4"), "0.5"), "curve-info", "'0.5' is not a rational number"),
+    (_edited(OVER_Q, ("curve", "a4"), "1e3"), "curve-info", "'1e3' is not a rational number"),
+    (_edited(OVER_Q, ("curve", "a4"), True), "curve-info", "True is not a rational number"),
+], ids=["F49-three-coefficients", "F49-long-list", "Q-decimal", "Q-exponent", "Q-bool"])
+def test_extension_and_rational_elements_decode_strictly(doc, command, named, tmp_path,
+                                                         capsys):
+    _assert_refused(doc, command, named, tmp_path, capsys)
+
+
+def test_integer_spellings_decode_alike(tmp_path, capsys):
+    """Integers are read mod p: "9" and -5 are 2 over F_7, "-6" and 8 are 1,
+    and over F_49 the list [1] and [1, 0] are the constant 1.  Over Q, "-2/2"
+    is -1.  Each spelling gives the same bytes as the canonical one."""
+    def output(doc, command):
+        path = tmp_path / "spelled.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_inproc([command, "--instance", str(path), "--k", "1"], capsys)
+        assert code == 0, out
+        return out
+
+    canonical = output(ESHARP, "osc")
+    for spelled in (_edited(ESHARP, ("curve", "a6"), "9"),
+                    _edited(ESHARP, ("curve", "a6"), -5),
+                    _edited(ESHARP, COD, ["-6", 8])):
+        assert output(spelled, "osc") == canonical
+    canonical = output(_edited(ESHARP, COD, ["1", "1"], F49), "osc")
+    assert output(_edited(ESHARP, COD, [[1], [1, 0]], F49), "osc") == canonical
+    canonical = output(OVER_Q, "curve-info")
+    assert output(_edited(OVER_Q, ("curve", "a4"), "-2/2"), "curve-info") == canonical
+    assert output(_edited(OVER_Q, ("curve", "a4"), -1), "curve-info") == canonical
+
+
+def test_bounds_refuses_a_degree_beyond_the_instance_limit(capsys):
+    """|d| is at most 64 r, the largest |degree| the factors of a rank-r
+    instance bundle reach; the system's tables grow with |d| / r."""
+    code, out = run_inproc(["bounds", "--r", "2", "--d", "-200", "--g", "1"], capsys)
+    assert code == 1 and "--d -200" in json.loads(out)["error"]
+    code, out = run_inproc(["bounds", "--r", "2", "--d", "-128", "--g", "1"], capsys)
+    assert code == 0 and json.loads(out)["system"]["k_prime"] == 63
+
+
+def test_oversized_numbers_exit_1(tmp_path, capsys):
+    """A jet order k above 63 puts a multiplicity above 64 into the witness
+    divisors, and a JSON integer of 5000 digits is more than json converts:
+    both exit 1 with a JSON error."""
+    estar = str(INSTANCES / "estar.json")
+    for command in (["witnesses"], ["verify", "mainA"], ["osc"]):
+        code, out = run_inproc(command + ["--instance", estar, "--k", "64"], capsys)
+        assert code == 1 and "parameter k = 64 exceeds 63" in json.loads(out)["error"]
+    code, out = run_inproc(["witnesses", "--instance", estar, "--k", "63", "--M", "[]"],
+                           capsys)
+    assert code == 0
+    big = tmp_path / "big.json"
+    big.write_text((INSTANCES / "estar.json").read_text().replace('"0"', "1" * 5000, 1))
+    code, out = run_inproc(["curve-info", "--instance", str(big)], capsys)
+    assert code == 1 and "5000 digits" in json.loads(out)["error"]
+    code, out = run_inproc(["curve-info", "--instance", estar, "--M",
+                            '[{"point": "O", "mult": %s}]' % ("1" * 5000)], capsys)
+    assert code == 1 and "5000 digits" in json.loads(out)["error"]
+
+
 def test_rational_coefficients_that_do_not_parse_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for a4 in ("1/0", "x"):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from scrollinflect.bundle import normalized_series
+from scrollinflect.cli import _divisor, _place
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, InvariantViolation
 from scrollinflect.fields import PrimeField
@@ -117,7 +118,7 @@ def test_rr_classical_bases(C7):
     assert names[1] == ["1", "x"]
     assert names[2] == ["1", "x", "y"]
     assert len(rr_basis(C7, single(Place(3, 1)))) == 1
-    assert rr_basis(C7, Divisor({INFINITY: 1, Place(3, 1): -1})) == []
+    assert len(rr_basis(C7, Divisor({INFINITY: 1, Place(3, 1): -1}))) == 0
 
 
 def rr_expected_dim(curve, D):
@@ -426,9 +427,9 @@ def test_curve_base_change_is_built_once(C7):
 
 def test_place_divisor_serialization_roundtrip(C7):
     D = Divisor({Place(3, 1): 2, INFINITY: -2, Place(5, 6): 1})
-    again = C7.divisor_from_json(C7.divisor_to_json(D))
+    again = _divisor(C7, C7.divisor_to_json(D))
     assert again == D
-    assert C7.place_from_json("O") == INFINITY
+    assert _place(C7, "O") == INFINITY
 
 
 def test_rational_curve_group_law(CQ, QQ):
@@ -528,7 +529,7 @@ def test_rr_memo_keeps_the_checks(F7, monkeypatch):
         with pytest.raises(DomainError):
             principal_function(curve, D)
     assert D.key() not in curve._principal_functions
-    assert rr_basis(curve, D) == [] and rr_basis(curve, D.neg()) == []
+    assert len(rr_basis(curve, D)) == 0 and len(rr_basis(curve, D.neg())) == 0
     assert not curve._principal_functions and not curve._rr_bases
     accumulate = funcfield._accumulate
 

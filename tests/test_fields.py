@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from sympy import ZZ, Poly, symbols
 from sympy.polys.galoistools import gf_pow_mod
 
+from scrollinflect.cli import _field
 from scrollinflect.errors import InputError
 from scrollinflect.fields import (ExtensionField, PrimeField, RationalField,
-                                  extension_of, field_from_desc, find_irreducible)
+                                  extension_of, find_irreducible)
 
 
 def test_prime_field_basics():
@@ -151,8 +152,8 @@ def test_field_from_desc_roundtrip():
     for desc in [{"kind": "prime", "p": 11},
                  {"kind": "extension", "p": 7, "degree": 2},
                  {"kind": "rationals"}]:
-        F = field_from_desc(desc)
-        assert field_from_desc(F.desc()) == F
+        F = _field(desc)
+        assert _field(F.desc()) == F
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,15 @@
-"""Fuzz of the input contract: mutated copies of the committed instances,
-run in-process through cli.run_command, exit 0 with one JSON object or exit
-1 with one JSON error object, and never raise.
+"""Fuzz of the input contract: mutated copies of the committed instances
+(and of esharp read over F_49), and mutated command lines, run in-process
+through cli.run_command, exit 0 with one JSON object or exit 1 with one
+JSON error object, and never raise.
 
-A mutation drops a key of an object or swaps a value anywhere in the
-instance for an int (huge ones included), a bool, null, a string, a list or
-an object; each example applies one to three of them and runs one of nine
-commands.  Out-of-range sizes (a divisor multiplicity of 2^40, a divisor
+A mutation of an instance drops a key of an object or swaps a value anywhere
+in the instance for an int (huge ones included), a bool, null, a string, a
+list or an object; each example applies one to three of them and runs one of
+nine commands.  A mutation of a command line (one of the nine, or `bounds`)
+drops a token, repeats a flag with its value, or replaces a flag's value
+with one of the same values; `-h` and `--help` or its abbreviations, which
+print plain text, are left out.  Out-of-range sizes (a divisor multiplicity of 2^40, a divisor
 with -64 at each of three points, a divisor of 66 records, fields of order
 1000003 and of a 19-digit prime order) are refused before any work that
 grows with them.
@@ -25,12 +29,15 @@ from hypothesis import strategies as st
 
 from scrollinflect.cli import run_command
 
-INSTANCES = {path.stem: json.loads(path.read_text()) for path in
-             sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))}
+PATHS = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+INSTANCES = {path.stem: json.loads(path.read_text()) for path in PATHS}
+INSTANCES["esharp-F49"] = dict(INSTANCES["esharp"],
+                               field={"kind": "extension", "p": 7, "degree": 2})
 COMMANDS = (("curve-info",), ("sections",), ("osc", "--k", "0"), ("segre",),
             ("witnesses", "--k", "0"), ("hypothesis-nilpotent",), ("scan", "--k", "1"),
             ("verify", "mainA", "--k", "1", "--ext", "1"),
             ("project", "--m", "3", "--k", "1"))
+BOUNDS = ("bounds", "--r", "2", "--d", "-6", "--g", "1")
 HUGE_MULT = 2 ** 40
 PRIME_7_DIGITS = 1000003
 PRIME_19_DIGITS = 10 ** 18 + 3
@@ -91,6 +98,8 @@ WIDE_FACTOR = _with("estar", ("bundle", "factors", 0),
                     [{"point": [x, "1"], "mult": -64} for x in ("3", "5", "6")])
 BIG_PRIME = _with("estar", ("field",), {"kind": "prime", "p": PRIME_7_DIGITS})
 HUGE_PRIME = _with("estar", ("field",), {"kind": "prime", "p": PRIME_19_DIGITS})
+LONG_ELEMENT = _with("esharp-F49", ("bundle", "modifications", 0, "codirection"),
+                     ["1", [0, 0, 1]])
 HUGE_EXTENSION = _with("estar", ("field",),
                        {"kind": "extension", "p": PRIME_19_DIGITS, "degree": 2})
 
@@ -113,14 +122,49 @@ def _run(inst, command):
 @example(inst=BIG_PRIME, command=("curve-info",))
 @example(inst=HUGE_PRIME, command=("curve-info",))
 @example(inst=HUGE_EXTENSION, command=("curve-info",))
+@example(inst=LONG_ELEMENT, command=("osc", "--k", "0"))
 @given(inst=mutated_instances(), command=st.sampled_from(COMMANDS))
 def test_mutated_instances_exit_0_or_1_with_one_json_object(inst, command):
-    code, out = _run(inst, command)
+    _assert_one_report(*_run(inst, command))
+
+
+def _assert_one_report(code, out):
     assert isinstance(out, dict)
     if code == 0:
         assert "error" not in out
     else:
         assert code == 1 and list(out) == ["error"]
+
+
+ARGV_VALUES = VALUES.map(lambda v: v if isinstance(v, str) else json.dumps(v)).filter(
+    lambda v: not v.startswith(("-h", "--h")))
+
+
+@st.composite
+def mutated_argv(draw):
+    argv = list(draw(st.sampled_from(COMMANDS + (BOUNDS,))))
+    if argv[0] != "bounds":
+        argv += ["--instance", str(draw(st.sampled_from(PATHS)))]
+    for _ in range(draw(st.integers(1, 3))):
+        flags = [i for i, token in enumerate(argv[:-1]) if token.startswith("--")]
+        how = draw(st.sampled_from(["drop", "repeat", "replace"] if flags else ["drop"]))
+        if how == "drop" and argv:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif how == "repeat":
+            i = draw(st.sampled_from(flags))
+            argv += argv[i:i + 2]
+        elif how == "replace":
+            argv[draw(st.sampled_from(flags)) + 1] = draw(ARGV_VALUES)
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(argv=mutated_argv())
+def test_mutated_argv_exit_0_or_1_with_one_json_object(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run_command(argv)
+    _assert_one_report(code, json.loads(buf.getvalue()))
 
 
 @pytest.mark.parametrize("inst, named", [
