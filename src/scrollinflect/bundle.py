@@ -33,8 +33,9 @@ H^0 over F_{q^e} is the lift of H^0 over F_q, so an extension scan
 computes the sections over the base curve and lifts them through one
 `base_change(e)`, which BundleSpec, RRBasis and SectionBasis each
 provide: it keeps every factor, condition, polynomial and coefficient row
-and only swaps in `curve.base_change(e)`.  Lifted bases of one divisor
-share one memo entry on the extension curve.
+and only swaps in `curve.base_change(e)`.  A lifted Riemann-Roch basis
+keeps its rows at the places of C(F_p) in the base basis's memo
+(funcfield.RRBasis.base_change).
 """
 
 from __future__ import annotations

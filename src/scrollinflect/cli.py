@@ -43,7 +43,7 @@ class Instance:
         self.curve = Curve(K, K.elt_from_json(_required(cdesc, "a4", "curve")),
                            K.elt_from_json(_required(cdesc, "a6", "curve")))
         self.bundle = _bundle(self.curve, _json_object(obj, "bundle"))
-        params = obj.get("parameters") or {}
+        params = obj.get("parameters", {})
         if not isinstance(params, dict):
             raise InputError("parameters must be an object")
         selector = obj.get("M", []) if args.M is None else _twist_flag(args.M)
@@ -70,6 +70,11 @@ class Instance:
 # records (checked before any is read), k + 1 (a witness multiplicity) and
 # |d| / r in `bounds`.  Committed inputs reach 8, 3 records and k = 5.
 _MULT_MAX = 64
+# Largest number of bundle factors (the rank r).  verify mainB and mainBmod
+# build every wedge power of a split bundle at once, 2^r - 2 factors over
+# 1 <= n < r; r <= 6 keeps them within _MULT_MAX (62, at most C(6, 3) = 20
+# in one power).  Committed inputs reach r = 3.
+_RANK_MAX = 6
 
 
 def _required(obj, key, where="the instance"):
@@ -105,7 +110,7 @@ def _field(desc):
     if kind == "prime":
         return PrimeField(p)
     degree = _int(_required(desc, "degree", where), "field degree is not an integer: {}")
-    modulus = desc.get("modulus") or find_irreducible(p, degree)
+    modulus = desc["modulus"] if "modulus" in desc else find_irreducible(p, degree)
     if not isinstance(modulus, list) or len(modulus) != degree + 1:
         raise InputError("modulus is not a list of degree + 1 coefficients")
     return ExtensionField(p, [_int(c, "field modulus entry is not an integer: {}")
@@ -145,11 +150,14 @@ def _divisor(curve, obj):
 
 
 def _bundle(curve, obj):
-    """Split factors with single order-0 conditions at distinct places."""
+    """At most _RANK_MAX split factors with single order-0 conditions at
+    distinct places."""
     factors = _required(obj, "factors", f"bundle {obj!r}")
     mods = obj.get("modifications", [])
     if not isinstance(factors, list) or not isinstance(mods, list):
         raise InputError("bundle factors and modifications must be lists")
+    if len(factors) > _RANK_MAX:
+        raise InputError(f"bundle of {len(factors)} factors exceeds rank {_RANK_MAX}")
     for m in mods:
         if not isinstance(m, dict) or not isinstance(m.get("codirection"), list):
             raise InputError("a modification is an object with a codirection list")

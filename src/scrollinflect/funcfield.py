@@ -23,13 +23,17 @@ The Riemann-Roch layer is memoised on the curve that owns it, keyed by
 principal_function builds and ord_at-verifies each distinct divisor's
 function once, and rr_basis builds each L(D) once.  The basis monomials
 and each L(D)'s normalized rows are expanded once per place, at the
-largest precision asked for; smaller requests truncate them.  The memo
-keeps plain data only: normalised polynomial tuples, monomial keys, the
-target divisor, series and rows of field elements.  FunctionRep wrappers
-are rebuilt from it by FunctionRep._wrap, which skips normalisation.  A
-memo value that held the curve would put the curve in a reference cycle,
-and every finished task's memo would then stay alive until a full
-garbage collection.
+largest precision asked for; smaller requests truncate them.  A basis
+lifted to F_{p^e} (RRBasis.base_change) keeps its rows at the places of
+C(F_p) in the base basis's memo, so the scans of one divisor over F_p,
+F_{p^2} and F_{p^3} expand such a place once; its rows at every other
+place stay in the extension curve's memo.  The memo keeps plain data
+only: normalised polynomial tuples, monomial keys, the target divisor,
+series and rows of field elements.  FunctionRep wrappers are rebuilt
+from it by FunctionRep._wrap, which skips normalisation.  A memo value
+that held the curve would put the curve in a reference cycle, and every
+finished task's memo would then stay alive until a full garbage
+collection.
 """
 
 from __future__ import annotations
@@ -521,15 +525,18 @@ class _RRData:
     """What the curve keeps of one nonzero L(D), as plain data: hinv = 1/h
     as normalised polynomial tuples (n0, n1, d0), the monomial keys, the
     target divisor and `rows`, place -> (prec, the normalized rows at the
-    largest precision asked for there)."""
+    largest precision asked for there).  On an extension curve, base_rows
+    is the `rows` of the F_p basis this one was lifted from (None if it
+    was not lifted); it holds the rows at the places of C(F_p)."""
 
-    __slots__ = ("hinv", "keys", "target", "rows")
+    __slots__ = ("hinv", "keys", "target", "rows", "base_rows")
 
     def __init__(self, hinv, keys, target):
         self.hinv = hinv
         self.keys = keys
         self.target = target
         self.rows = {}
+        self.base_rows = None
 
 
 class RRBasis:
@@ -569,7 +576,19 @@ class RRBasis:
         return self._functions
 
     def base_change(self, e):
-        """The same basis over F_{q^e}; its factors join that curve's memo."""
+        """The same basis over F_{p^e}.  Its factors join that curve's memo,
+        and its rows at the places of C(F_p) are kept in this basis's memo,
+        shared by every e.
+
+        Sound because fields.extension_of only extends a prime field and
+        packs elements so that the ints 0..p-1 are F_p in every extension.
+        So a place that is O or has both coordinates below p is a place of
+        C(F_p); its uniformiser (x - x0, y or x/y), param_series, hinv and
+        the monomials are defined over F_p, and the arithmetic is exact, so
+        its rows are the same ints at every e.  The rows dict is not shared
+        as a whole: a packed int of p or more names different elements of
+        F_{p^2} and F_{p^3}, so one Place key can name two places.
+        """
         if e == 1:
             return self
         big = self.curve.base_change(e)
@@ -577,6 +596,7 @@ class RRBasis:
         if data is not None:
             data = big._rr_bases.setdefault(
                 self.D.key(), _RRData(data.hinv, data.keys, data.target))
+            data.base_rows = self._data.rows
         return RRBasis(big, self.D, data)
 
     def normalized_rows(self, place, prec):
@@ -591,11 +611,17 @@ class RRBasis:
         one truncated product.
         The memo keeps them per place at the largest precision asked for (a
         smaller request reads a prefix); callers share its lists, read-only.
+        A lifted basis keeps them at the places of C(F_p) in the base
+        basis's memo (base_change says why that is sound).
         """
         data = self._data
         if data is None or prec <= 0:
             return [[] for _ in range(len(self))]
-        got = data.rows.get(place)
+        memo = data.rows
+        if data.base_rows is not None and (
+                place.is_infinity or max(place.x, place.y) < self.curve.field.p):
+            memo = data.base_rows
+        got = memo.get(place)
         if got is not None and got[0] >= prec:
             return got[1] if got[0] == prec else [row[:prec] for row in got[1]]
         K = self.curve.field
@@ -619,7 +645,7 @@ class RRBasis:
                     continue
                 for j in range(min(len(u), prec - i)):
                     row[i + j] = K.add(row[i + j], K.mul(c, u[j]))
-        data.rows[place] = (prec, rows)
+        memo[place] = (prec, rows)
         return rows
 
 

@@ -414,6 +414,45 @@ def test_oversized_numbers_exit_1(tmp_path, capsys):
     assert code == 1 and "5000 digits" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("key", ["modulus", "parameters"])
+@pytest.mark.parametrize("value", [0, [], "", False, None],
+                         ids=["0", "empty-list", "empty-string", "false", "null"])
+def test_a_present_falsy_value_is_not_a_missing_key(key, value, tmp_path, capsys):
+    """Only a missing modulus or parameters key means the default: a present
+    value decodes like any other, so 0, [], "", false and null exit 1 with
+    a JSON error, and the same file without the key exits 0."""
+    doc = json.loads((INSTANCES / "estar.json").read_text())
+    doc["field"] = {"kind": "extension", "p": 7, "degree": 2}
+    owner = doc["field"] if key == "modulus" else doc
+    message = "modulus is not a list" if key == "modulus" else "parameters must be an object"
+    bad = tmp_path / "bad.json"
+    owner[key] = value
+    bad.write_text(json.dumps(doc))
+    code, out = run_inproc(["curve-info", "--instance", str(bad)], capsys)
+    assert code == 1 and message in json.loads(out)["error"]
+    del owner[key]
+    bad.write_text(json.dumps(doc))
+    assert run_inproc(["curve-info", "--instance", str(bad)], capsys)[0] == 0
+
+
+def test_bundle_rank_is_bounded(tmp_path, capsys):
+    """A bundle has at most 6 factors, checked before any factor is read:
+    verify mainB and mainBmod build its 2^r - 2 wedge factors at once.
+    Decoding alone (curve-info) shows it; no verifier runs."""
+    doc = json.loads((INSTANCES / "estar.json").read_text())
+    bad = tmp_path / "bad.json"
+    for factors, want in [([[{"point": "O", "mult": -2}]] * 6, 0),
+                          ([[{"point": "O", "mult": -2}]] * 7, 1),
+                          ([5] * 30, 1)]:
+        doc["bundle"] = {"factors": factors}
+        bad.write_text(json.dumps(doc))
+        code, out = run_inproc(["curve-info", "--instance", str(bad)], capsys)
+        assert code == want, len(factors)
+        if want:
+            assert (f"bundle of {len(factors)} factors exceeds rank 6"
+                    in json.loads(out)["error"])
+
+
 def test_rational_coefficients_that_do_not_parse_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for a4 in ("1/0", "x"):

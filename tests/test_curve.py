@@ -9,7 +9,7 @@ from scrollinflect.bundle import normalized_series
 from scrollinflect.cli import _divisor, _place
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, InvariantViolation
-from scrollinflect.fields import PrimeField
+from scrollinflect.fields import PrimeField, extension_of
 from scrollinflect.funcfield import (FunctionRep, chord_line, peval_series, pmul,
                                      principal_function, rr_basis, vertical_line)
 from scrollinflect.series import LaurentSeries
@@ -475,17 +475,21 @@ def test_rr_memo_leaves_no_reference_cycle(F7):
         E = BundleSpec(curve, [single(INFINITY, 2), Divisor({P: 1, INFINITY: 1})])
         V = h0(E, Divisor({P: 1, INFINITY: -1}))
         V.section_coeffs(P, 3)
-        V.base_change(2).section_coeffs(INFINITY, 3)
+        big = curve.base_change(2)
+        # O is a place of C(F_7), so its lifted rows go to the base memo;
+        # the place off C(F_7) fills the extension curve's own
+        off = next(Q for Q in big.points() if not Q.is_infinity and max(Q.x, Q.y) >= 7)
+        for place in (INFINITY, off):
+            V.base_change(2).section_coeffs(place, 3)
         vectors = V.vectors
         basis = rr_basis(curve, Divisor({P: 2, INFINITY: 1}))
         basis.normalized_rows(P, 4)
         funcs = list(basis)
         f = principal_function(curve, Divisor({P: 1, curve.point_neg(P): 1, INFINITY: -2}))
-        big = curve.base_change(2)
         assert curve._principal_functions and curve._rr_bases and big._rr_bases
         assert all(any(data.rows for data in c._rr_bases.values()) for c in (curve, big))
         refs = [weakref.ref(curve), weakref.ref(big)]
-        del curve, big, E, V, vectors, basis, funcs, f
+        del curve, big, off, E, V, vectors, basis, funcs, f
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
@@ -515,6 +519,60 @@ def test_rr_memo_equals_a_fresh_build(F7):
             assert _polys(principal_function(memo, D)) == \
                 _polys(principal_function(fresh, D)), D
     assert len(memo._rr_bases) > 100 and len(memo._principal_functions) > 100
+
+
+def _lift_divisors(curve):
+    """Divisors of degree -1..4: on O alone, on one affine place with O,
+    and on two affine places, a degree-0 principal and a degree-0
+    non-principal one among them."""
+    P, Q = Place(3, 1), Place(5, 1)
+    out = [single(INFINITY, d) for d in range(-1, 5)]
+    out += [Divisor({P: d + 1, INFINITY: -1}) for d in range(-1, 5)]
+    out += [Divisor({P: 2, Q: -1}), Divisor({P: 1, curve.point_neg(P): 1, INFINITY: -2}),
+            Divisor({P: 1, Q: -1}), Divisor({P: 3, Q: 1})]
+    assert sorted({D.degree for D in out}) == list(range(-1, 5))
+    return out
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_lifted_rows_equal_a_fresh_build(F7, first):
+    """A basis lifted to F_49 and F_343 keeps its rows at the places of
+    C(F_7) in the base basis's memo.  Whichever scan asks first (e = 1 or
+    e = 2), at precisions that rise and fall between the fields, the rows at
+    every place of C(F_7), C(F_49) and C(F_343) equal those a fresh curve
+    built over each field on its own gives."""
+    fresh = {e: Curve(extension_of(F7, e), 0, 2) for e in (1, 2, 3)}
+    shared = Curve(F7, 0, 2)
+    order = [(first, 3), (3 - first, 4), (3, 2), (1, 2), (2, 5)]
+    for D in _lift_divisors(shared):
+        basis = rr_basis(shared, D)
+        for e, prec in order:
+            lifted = basis.base_change(e)
+            want = rr_basis(fresh[e], D)
+            for place in lifted.curve.points():
+                assert lifted.normalized_rows(place, prec) == \
+                    want.normalized_rows(place, prec), (D, e, place, prec)
+
+
+def test_lifted_rows_off_the_base_field_stay_in_their_own_memo(F7):
+    """Rows at a place off C(F_7) are kept only in the memo of the lifted
+    basis that asked for them, and rows at a place of C(F_7) only in the
+    base basis's memo.  A place with x in F_7 and y not (C(F_49) has some)
+    is off C(F_7)."""
+    curve = Curve(F7, 0, 2)
+    basis = rr_basis(curve, Divisor({Place(3, 1): 2, INFINITY: 1}))
+    lifts = {e: basis.base_change(e) for e in (2, 3)}
+    for e, lifted in lifts.items():
+        assert lifted._data.base_rows is basis._data.rows
+        points = lifted.curve.points()
+        base = [P for P in points if P.is_infinity or max(P.x, P.y) < 7]
+        off = [P for P in points if P not in base]
+        assert base == curve.points() and (e == 3 or any(P.x < 7 for P in off)), e
+        for place in points:
+            lifted.normalized_rows(place, 3)
+        assert set(lifted._data.rows) == set(off), e
+        assert set(basis._data.rows) == set(base), e
+    assert not set(lifts[2]._data.rows) & set(lifts[3]._data.rows)
 
 
 def test_rr_memo_keeps_the_checks(F7, monkeypatch):
