@@ -75,6 +75,9 @@ _MULT_MAX = 64
 # 1 <= n < r; r <= 6 keeps them within _MULT_MAX (62, at most C(6, 3) = 20
 # in one power).  Committed inputs reach r = 3.
 _RANK_MAX = 6
+# Largest `verify appendixA --seeds`: each seed draws and may scan a
+# subsystem, so the count bounds that work.  The default is 50.
+_SEEDS_MAX = 1000
 
 
 def _required(obj, key, where="the instance"):
@@ -359,6 +362,9 @@ def cmd_verify(inst, args):
     elif name == "appendixA":
         if inst.m is None:
             raise InputError("verify appendixA needs --m")
+        if not 1 <= args.seeds <= _SEEDS_MAX:
+            raise InputError(f"--seeds must be between 1 and {_SEEDS_MAX}: "
+                             f"{args.seeds}")
         M = inst.twists[0]
         seeds = range(inst.seed, inst.seed + args.seeds)
         rep = verify_projection(inst.bundle, M, inst.m, seeds,

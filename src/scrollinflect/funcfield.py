@@ -224,18 +224,7 @@ class FunctionRep:
         K = self.curve.field
         return FunctionRep(self.curve, pscal(K, c, self.n0), pscal(K, c, self.n1), self.d0)
 
-    # -- evaluation and expansion --------------------------------------------------
-    def evaluate(self, place):
-        """Exact value at an affine place where the denominator does not vanish."""
-        if place.is_infinity:
-            raise DomainError("use local expansion at the point at infinity")
-        K = self.curve.field
-        d = peval(K, self.d0, place.x)
-        if d == K.zero:
-            raise DomainError("denominator vanishes at the place")
-        n = K.add(peval(K, self.n0, place.x), K.mul(peval(K, self.n1, place.x), place.y))
-        return K.div(n, d)
-
+    # -- expansion --------------------------------------------------------------
     def local_expansion(self, place, precision):
         """Expansion in the canonical uniformiser, correct modulo t^precision.
 

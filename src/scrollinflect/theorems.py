@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 from math import ceil, floor, isqrt
 
 from .bundle import chi_h1, dual_twist, h0, wedge
@@ -176,8 +175,6 @@ def segre1(E_spec, method="auto", ext_degree=1):
 # --------------------------------------------------------------------------
 # rank-one nilpotent endomorphisms
 
-_NILPOTENT_DIM_BUDGET = 7
-
 
 def endomorphism_basis(E_spec):
     """Basis of Hom(E, E) for a decomposable bundle, as (row, col, function)."""
@@ -192,92 +189,27 @@ def endomorphism_basis(E_spec):
     return basis
 
 
-def _safe_sample_places(E_spec, basis, count=3):
-    out = []
-    for place in E_spec.curve.points():
-        if place.is_infinity:
-            continue
-        try:
-            for _, _, f in basis:
-                f.evaluate(place)
-        except DomainError:
-            continue
-        out.append(place)
-        if len(out) >= count:
-            break
-    if not out:
-        raise InvariantViolation("no pole-free sample place for endomorphism values")
-    return out
-
-
-def _rank_le1_and_square_zero(m, add, sub, mul, is_zero):
-    """Whether the square matrix m has every 2x2 minor zero and m * m = 0,
-    with entries in a commutative ring given by its operations."""
-    r = len(m)
-    for i1 in range(r):
-        for i2 in range(i1 + 1, r):
-            for j1 in range(r):
-                for j2 in range(j1 + 1, r):
-                    if not is_zero(sub(mul(m[i1][j1], m[i2][j2]),
-                                       mul(m[i1][j2], m[i2][j1]))):
-                        return False
-    for i in range(r):
-        for j in range(r):
-            acc = mul(m[i][0], m[0][j])
-            for k in range(1, r):
-                acc = add(acc, mul(m[i][k], m[k][j]))
-            if not is_zero(acc):
-                return False
-    return True
-
-
 def nilpotent_rank1_exists(E_spec):
-    """Whether some endomorphism has sheaf-map rank one and squares to zero.
+    """Whether some endomorphism has sheaf-map rank one and squares to zero:
+    exactly when dim End(E) > r.  Returns (exists, details).
 
-    Exhaustive projective enumeration of End(E) over the base field with a
-    value prefilter at sample places; survivors are verified exactly on the
-    function matrices.  Returns (exists, details).
+    End(E) is the diagonal blocks H^0(O), one constant each, plus the
+    off-diagonal blocks Hom(L_j, L_i).  If some f != 0 lies in a block with
+    i != j, then phi = f E_ij has one nonzero entry, so rank one, and
+    phi^2 = 0 because i != j; the witness is the unit coefficient vector of
+    the first such element of endomorphism_basis.  Otherwise End(E) is the
+    diagonal constants, and the only nilpotent among them is 0.
     """
-    curve = E_spec.curve
-    K = curve.field
+    K = E_spec.curve.field
     if not K.is_finite:
-        raise Unsupported("enumeration requires a finite base field")
+        raise Unsupported("the nilpotent check requires a finite base field")
     basis = endomorphism_basis(E_spec)
-    dim = len(basis)
-    if dim > _NILPOTENT_DIM_BUDGET:
-        raise Unsupported(f"End(E) has dimension {dim} > budget "
-                          f"{_NILPOTENT_DIM_BUDGET}")
-    r = E_spec.rank
-    samples = _safe_sample_places(E_spec, basis)
-    per_basis_values = [[f.evaluate(place) for _, _, f in basis]
-                        for place in samples]
-    elements = list(K.elements())
-    zero_f = FunctionRep.zero(curve)
-    field_ops = (K.add, K.sub, K.mul, lambda a: a == K.zero)
-    function_ops = (FunctionRep.add, FunctionRep.sub, FunctionRep.mul,
-                    FunctionRep.is_zero)
-    for lead in range(dim):
-        for tail in product(elements, repeat=dim - lead - 1):
-            coeffs = [K.zero] * lead + [K.one] + list(tail)
-            ok = True
-            for values in per_basis_values:
-                m = [[K.zero] * r for _ in range(r)]
-                for c, v, (i, j, _) in zip(coeffs, values, basis):
-                    if c != K.zero and v != K.zero:
-                        m[i][j] = K.add(m[i][j], K.mul(c, v))
-                if not _rank_le1_and_square_zero(m, *field_ops):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            phi = [[zero_f for _ in range(r)] for _ in range(r)]
-            for c, (i, j, f) in zip(coeffs, basis):
-                if c != K.zero:
-                    phi[i][j] = phi[i][j].add(f.scalar_mul(c))
-            if any(not f.is_zero() for row in phi for f in row) and \
-                    _rank_le1_and_square_zero(phi, *function_ops):
-                return True, {"dim": dim, "witness_coeffs": coeffs}
-    return False, {"dim": dim, "witness_coeffs": None}
+    exists = len(basis) > E_spec.rank
+    coeffs = None
+    if exists:
+        coeffs = [K.zero] * len(basis)
+        coeffs[next(n for n, (i, j, _) in enumerate(basis) if i != j)] = K.one
+    return exists, {"dim": len(basis), "witness_coeffs": coeffs}
 
 
 def quot_tangent_obstruction(E_spec, witness):
@@ -674,10 +606,9 @@ def _generic_point(E_spec, ctx):
     K = ctx.curve.field
     scans = ctx.scan_level(min(1, ctx.k_max))
     ones = tuple([K.one] * E_spec.rank)
+    top = max(s.max_rank() for s in scans.values())
     for place in ctx.places:
         x = ScrollPoint(K, place, ones)
-        if scans[place].rank_of(x.direction) == scans[place].max_rank() \
-                and scans[place].max_rank() == max(s.max_rank()
-                                                   for s in scans.values()):
+        if scans[place].rank_of(x.direction) == scans[place].max_rank() == top:
             return x
     return ScrollPoint(K, ctx.places[0], ones)

@@ -113,6 +113,50 @@ def test_segre_and_nilpotent_commands(capsys):
     assert code == 0 and json.loads(out)["exists"] is True
 
 
+F5_ISOMORPHIC_FACTORS = {
+    "field": {"kind": "prime", "p": 5}, "curve": {"a4": "1", "a6": "1"},
+    "bundle": {"factors": [
+        [{"point": "O", "mult": -4}, {"point": ["0", "1"], "mult": -1},
+         {"point": ["3", "1"], "mult": 1}],
+        [{"point": "O", "mult": -5}, {"point": ["2", "1"], "mult": 2},
+         {"point": ["4", "2"], "mult": -1}]], "modifications": []}}
+F7_WIDE_HOM = {
+    "field": {"kind": "prime", "p": 7}, "curve": {"a4": "0", "a6": "2"},
+    "bundle": {"factors": [[{"point": "O", "mult": -1}],
+                           [{"point": "O", "mult": -7}]], "modifications": []}}
+
+
+@pytest.mark.parametrize("doc, end_dim", [(F5_ISOMORPHIC_FACTORS, 4),
+                                          (F7_WIDE_HOM, 8)], ids=["F5", "F7"])
+def test_nilpotent_hypothesis_by_hom_dimension(doc, end_dim, tmp_path, capsys):
+    # F5: no affine place gives every End(E) basis value by substitution;
+    # F7: End(E) has dimension 8, one Hom block of dimension 6
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_inproc(["hypothesis-nilpotent", "--instance", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["exists"] is True and rep["end_dim"] == end_dim
+    code, out = run_inproc(["verify", "mainC", "--instance", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is False
+    assert rep["clauses"] == [{"id": "hypothesis", "pass": False, "end_dim": end_dim,
+                               "reason": "a rank-one nilpotent endomorphism exists"}]
+
+
+@pytest.mark.parametrize("seeds, code", [("-1", 1), ("0", 1), ("1", 0),
+                                         (str(cli._SEEDS_MAX + 1), 1)])
+def test_appendixA_seed_count_is_bounded(seeds, code, capsys):
+    got, out = run_inproc(["verify", "appendixA", "--instance",
+                           str(INSTANCES / "estar.json"), "--m", "3",
+                           "--seeds", seeds], capsys)
+    assert got == code
+    if code:
+        assert json.loads(out)["error"] == (f"InputError: --seeds must be between 1 "
+                                            f"and {cli._SEEDS_MAX}: {seeds}")
+    else:
+        assert json.loads(out)["clauses"][1]["seeds"] == 1
+
+
 def test_witnesses_and_scan_and_project(capsys):
     code, out = run_inproc(["witnesses", "--instance",
                             str(INSTANCES / "estar.json"), "--k", "2",

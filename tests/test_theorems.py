@@ -1,9 +1,15 @@
+import random
+from itertools import product
+
 import pytest
 
+from conftest import random_divisor
 from scrollinflect.bundle import BundleSpec, h0
-from scrollinflect.curve import Divisor, INFINITY, Place, single
+from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, Unsupported
-from scrollinflect.theorems import (hirschowitz_bound,
+from scrollinflect.fields import PrimeField
+from scrollinflect.funcfield import FunctionRep
+from scrollinflect.theorems import (endomorphism_basis, hirschowitz_bound,
                                     kprime_expected_dims, nilpotent_rank1_exists,
                                     quot_tangent_obstruction, segre1,
                                     specialcases_ranges,
@@ -106,12 +112,153 @@ def test_segre_witness_is_saturated_subbundle(estar):
     assert rep.s1 == estar.degree - estar.rank * rep.witness["degree"]
 
 
-def test_nilpotent_examples(estar, eflat, edouble, esharp):
+def test_nilpotent_examples(estar, eflat, edouble, esharp, CQ):
     assert nilpotent_rank1_exists(estar)[0] is False
     assert nilpotent_rank1_exists(eflat)[0] is True
     assert nilpotent_rank1_exists(edouble)[0] is True
     with pytest.raises(Unsupported):
         nilpotent_rank1_exists(esharp)       # End of a conditioned bundle
+    with pytest.raises(Unsupported):
+        nilpotent_rank1_exists(BundleSpec(CQ, [single(INFINITY, -1)] * 2))
+
+
+def _rank_le1_and_square_zero(m, add, sub, mul, is_zero):
+    """Whether the square matrix m has every 2x2 minor zero and m * m = 0,
+    with entries in a commutative ring given by its operations."""
+    r = len(m)
+    for i1 in range(r):
+        for i2 in range(i1 + 1, r):
+            for j1 in range(r):
+                for j2 in range(j1 + 1, r):
+                    if not is_zero(sub(mul(m[i1][j1], m[i2][j2]),
+                                       mul(m[i1][j2], m[i2][j1]))):
+                        return False
+    for i in range(r):
+        for j in range(r):
+            acc = mul(m[i][0], m[0][j])
+            for k in range(1, r):
+                acc = add(acc, mul(m[i][k], m[k][j]))
+            if not is_zero(acc):
+                return False
+    return True
+
+
+_FUNCTION_OPS = (FunctionRep.add, FunctionRep.sub, FunctionRep.mul,
+                 FunctionRep.is_zero)
+
+
+def _endomorphism(E, basis, coeffs):
+    """The function matrix sum of c * f E_ij over the basis."""
+    phi = [[FunctionRep.zero(E.curve)] * E.rank for _ in range(E.rank)]
+    for c, (i, j, f) in zip(coeffs, basis):
+        if c != E.curve.field.zero:
+            phi[i][j] = phi[i][j].add(f.scalar_mul(c))
+    return phi
+
+
+def _value(f, place):
+    """f at place, or None at a pole."""
+    s = f.local_expansion(place, 1)
+    if s.val < 0:
+        return None
+    return s.coeffs[0] if s.val == 0 else f.curve.field.zero
+
+
+def _brute_nilpotent(E):
+    """(exists, end_dim, first witness) by projective enumeration of End(E):
+    a value prefilter at up to three places where no basis function has a
+    pole, then the exact test on the function matrix."""
+    K = E.curve.field
+    basis = endomorphism_basis(E)
+    samples = []
+    for place in E.curve.points():
+        values = [_value(f, place) for _, _, f in basis]
+        if None not in values:
+            samples.append(values)
+        if len(samples) == 3:
+            break
+    field_ops = (K.add, K.sub, K.mul, lambda a: a == K.zero)
+    elements = list(K.elements())
+    for lead in range(len(basis)):
+        for tail in product(elements, repeat=len(basis) - lead - 1):
+            coeffs = [K.zero] * lead + [K.one] + list(tail)
+            ok = True
+            for values in samples:
+                m = [[K.zero] * E.rank for _ in range(E.rank)]
+                for c, v, (i, j, _) in zip(coeffs, values, basis):
+                    m[i][j] = K.add(m[i][j], K.mul(c, v))
+                if not _rank_le1_and_square_zero(m, *field_ops):
+                    ok = False
+                    break
+            if ok and _rank_le1_and_square_zero(_endomorphism(E, basis, coeffs),
+                                                *_FUNCTION_OPS):
+                return True, len(basis), coeffs
+    return False, len(basis), None
+
+
+def _assert_witness(E):
+    """The criterion's answer, with its witness checked as a function matrix."""
+    exists, details = nilpotent_rank1_exists(E)
+    coeffs = details["witness_coeffs"]
+    assert exists is (coeffs is not None)
+    assert exists is (details["dim"] > E.rank)
+    if exists:
+        phi = _endomorphism(E, endomorphism_basis(E), coeffs)
+        assert any(not f.is_zero() for row in phi for f in row)
+        assert _rank_le1_and_square_zero(phi, *_FUNCTION_OPS)
+    return exists, details
+
+
+def test_nilpotent_when_every_place_zeroes_a_denominator():
+    # at each affine place of C(F_5) some basis function of End(E) has a
+    # denominator (a polynomial in x) vanishing there, so no place gives
+    # every basis value by substitution; L1 = L2, so both Hom blocks are 1
+    C5 = Curve(PrimeField(5), 1, 1)              # y^2 = x^3 + x + 1
+    L1 = Divisor({INFINITY: -4, Place(0, 1): -1, Place(3, 1): 1})
+    L2 = Divisor({INFINITY: -5, Place(2, 1): 2, Place(4, 2): -1})
+    exists, details = _assert_witness(BundleSpec(C5, [L1, L2]))
+    assert exists is True and details["dim"] == 4
+
+
+def test_nilpotent_criterion_has_no_dimension_budget(C7):
+    E = BundleSpec(C7, [single(INFINITY, -1), single(INFINITY, -7)])
+    exists, details = _assert_witness(E)
+    assert exists is True and details["dim"] == 8
+    assert details["witness_coeffs"] == [0, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_nilpotent_witness_for_isomorphic_factors(edouble):
+    exists, details = _assert_witness(edouble)
+    assert details["witness_coeffs"] == [0, 1, 0, 0]
+
+
+def _no_isomorphic_factors(E):
+    """Whether no two factors are isomorphic, i.e. no Hom blocks (i, j) and
+    (j, i) are both nonzero: then End(E) is block-triangular by degree with
+    a constant diagonal, and the enumeration's first hit is the criterion's
+    witness."""
+    blocks = {(i, j) for i, j, _ in endomorphism_basis(E) if i != j}
+    return all((j, i) not in blocks for i, j in blocks)
+
+
+@pytest.mark.parametrize("p, a4, a6", [(5, 1, 1), (7, 0, 2), (11, 0, 4)],
+                         ids=["F5", "F7", "F11"])
+def test_nilpotent_criterion_matches_enumeration(p, a4, a6):
+    curve = Curve(PrimeField(p), a4, a6)
+    rng = random.Random(20261020 + p)
+    checked = 0
+    while checked < 20:
+        r = rng.choice((1, 2, 2, 3, 3))
+        E = BundleSpec(curve, [random_divisor(curve, rng, rng.randint(-4, -2))
+                               for _ in range(r)])
+        if p ** (len(endomorphism_basis(E)) - 1) > 20000:
+            continue                             # enumeration too long
+        checked += 1
+        exists, details = _assert_witness(E)
+        ref_exists, ref_dim, ref_coeffs = _brute_nilpotent(E)
+        assert (exists, details["dim"]) == (ref_exists, ref_dim)
+        if _no_isomorphic_factors(E):
+            assert details["witness_coeffs"] == ref_coeffs
 
 
 def test_quot_tangent_obstruction(estar, edouble, eflat):
