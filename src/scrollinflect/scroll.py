@@ -501,10 +501,11 @@ def expected_dims(n, r):
 class OscReport:
     """Scan outcome for one (M, k, extension degree)."""
 
-    def __init__(self, ctx, k, relative_deficiencies, subfull_deficiencies,
+    def __init__(self, ctx, k, scans, relative_deficiencies, subfull_deficiencies,
                  d_k, oracle_agreement=None, witness_match=None):
         self.ctx = ctx
         self.k = k
+        self.scans = scans               # place -> PlaceScan at order k
         self.d_k = d_k
         self.relative = relative_deficiencies
         self.subfull = subfull_deficiencies
@@ -561,7 +562,7 @@ def _fiber_size(field, r):
 def _classify(ctx, scans, threshold):
     """The fibres with rank(p, v) < threshold for some direction v, as
     FiberDeficiency records in place order; a subspace record enumerates its
-    directions only when it is drawn."""
+    directions when it is built, that is when it is drawn."""
     K = ctx.curve.field
     size = _fiber_size(K, ctx.E.rank)
     whole = standard_basis(K, ctx.E.rank)
@@ -575,18 +576,21 @@ def _classify(ctx, scans, threshold):
 
 
 def scan_report(ctx, k, cross_check=True):
-    """Full fibre classification at one jet order, with optional cross-checks."""
+    """Full fibre classification at one jet order, with optional cross-checks.
+    d_k <= kr: base_rank is the rank of the kr rows of order < k, and order k
+    adds at most 1.  So one classification, at d_k + 1, gives the subfull
+    locus (kr + 1) too: the relative one if d_k = kr, every fibre if d_k < kr."""
     scans = ctx.scan_level(k)
-    d_k_plus_1 = max((scans[p].max_rank() for p in ctx.places), default=0)
-    d_k = d_k_plus_1 - 1
-    relative = list(_classify(ctx, scans, d_k_plus_1))
-    subfull = list(_classify(ctx, scans, k * ctx.E.rank + 1))
+    d_k = max((scans[p].max_rank() for p in ctx.places), default=0) - 1
+    kr = k * ctx.E.rank
+    relative = list(_classify(ctx, scans, d_k + 1))
+    subfull = relative if d_k == kr else list(_classify(ctx, scans, kr + 1))
     oracle_ok = None
     witness_ok = None
     if cross_check:
         oracle_ok = _oracle_cross_check(ctx, k, scans)
         witness_ok = _witness_cross_check(ctx, k, scans, subfull)
-    return OscReport(ctx, k, relative, subfull, d_k,
+    return OscReport(ctx, k, scans, relative, subfull, d_k,
                      oracle_agreement=oracle_ok, witness_match=witness_ok)
 
 

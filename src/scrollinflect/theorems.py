@@ -18,7 +18,7 @@ from .curve import INFINITY, Divisor, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import mat_rank_kernel
-from .scroll import (ScanContext, ScrollPoint, _classify, adversarial_projection,
+from .scroll import (ScanContext, ScrollPoint, adversarial_projection, check_jet_order,
                      expected_dims, incidence_dim, lead_vectors, normalized_series,
                      osc_dim, project_system, scan_report, scan_reports)
 
@@ -38,10 +38,10 @@ def hirschowitz_bound(r, n, d, g):
     return base + delta, delta
 
 
-def kprime_expected_dims(r, d, g, n_override=None, m=None):
+def kprime_expected_dims(r, d, g, m=None):
     """Numerology of the complete system: n, the top jet order k', expected
     inflection dimensions, and the subsheaf/incidence parameter counts."""
-    n = n_override if n_override is not None else r * (1 - g) - d - 1
+    n = r * (1 - g) - d - 1
     if n < 1:
         raise InputError(f"system dimension n = {n} must be at least 1")
     k_prime, dims = expected_dims(n, r)
@@ -201,8 +201,6 @@ def nilpotent_rank1_exists(E_spec):
     diagonal constants, and the only nilpotent among them is 0.
     """
     K = E_spec.curve.field
-    if not K.is_finite:
-        raise Unsupported("the nilpotent check requires a finite base field")
     basis = endomorphism_basis(E_spec)
     exists = len(basis) > E_spec.rank
     coeffs = None
@@ -283,13 +281,10 @@ class _ScanPool:
     def first_subfull(self, M_list, k, e_list):
         """First (ScanContext, FiberDeficiency) with dim Osc^k < kr somewhere,
         or None."""
-        for e in e_list:
-            for M in M_list:
-                ctx = self.ctx(M, e)
-                rec = next(_classify(ctx, ctx.scan_level(k), k * self.E.rank + 1),
-                           None)
-                if rec is not None:
-                    return ctx, rec
+        for ctx in (self.ctx(M, e) for e in e_list for M in M_list):
+            subfull = scan_report(ctx, k, cross_check=False).subfull
+            if subfull:
+                return ctx, subfull[0]
         return None
 
 
@@ -328,12 +323,12 @@ def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, s1_method="auto"
     """The s_1 threshold criterion: s1 > d + r(1 + k) at genus one holds iff
     every fibre point osculates fully at order k, for every twist class."""
     curve = E_spec.curve
-    p = curve.field.char
-    if k_values is None:
-        k_values = range(6)
-    k_values = [k for k in k_values if k + 1 < p]
+    if k_values is None:          # the default orders 0..5, cut to k + 1 < p
+        k_values = [k for k in range(6) if k + 1 < curve.field.char]
     if not k_values:
         raise InputError("no admissible jet orders below the characteristic")
+    for k in sorted(k_values, reverse=True):    # the largest first, as osc names it
+        check_jet_order(curve.field, k)
     r, d = E_spec.rank, E_spec.degree
     s1 = segre1(E_spec, method=s1_method).s1
     pool = _ScanPool(E_spec, max(k_values))
@@ -443,6 +438,8 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     dimension for general twists, lower inflection loci are empty, and the
     top one is empty or finite when its expected dimension is zero."""
     curve = E_spec.curve
+    if not curve.field.is_finite:
+        raise Unsupported("mainC enumerates Pic^0 and needs a finite base field")
     r, d = E_spec.rank, E_spec.degree
     exists, details = nilpotent_rank1_exists(E_spec)
     if exists:
@@ -589,7 +586,7 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
                     "pass": all_match and fraction_ok,
                     "seeds": len(seeds), "general": general_count,
                     "matched": all_match, "mismatch": mismatch})
-    x = _generic_point(E_spec, full_ctx)
+    x = _generic_point(full_reports[1])
     W_adv = adversarial_projection(E_spec, M, x, m_plus_1, sections=full_sections)
     dim_at_x = osc_dim(E_spec, M, x, 1, sections=W_adv)
     adv_ctx = ScanContext(E_spec, M, ext_degree=1, k_max=1, sections=W_adv)
@@ -602,13 +599,12 @@ def verify_projection(E_spec, M, m_plus_1, seeds, ext_degree=1):
                          _PROXY_CAVEATS)
 
 
-def _generic_point(E_spec, ctx):
-    K = ctx.curve.field
-    scans = ctx.scan_level(min(1, ctx.k_max))
-    ones = tuple([K.one] * E_spec.rank)
-    top = max(s.max_rank() for s in scans.values())
+def _generic_point(rep):
+    """The all-ones direction at the first place where it reaches rank d_k + 1."""
+    ctx, K = rep.ctx, rep.ctx.curve.field
+    ones = tuple([K.one] * ctx.E.rank)
     for place in ctx.places:
         x = ScrollPoint(K, place, ones)
-        if scans[place].rank_of(x.direction) == scans[place].max_rank() == top:
+        if rep.scans[place].rank_of(x.direction) == rep.d_k + 1:
             return x
     return ScrollPoint(K, ctx.places[0], ones)

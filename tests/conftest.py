@@ -96,6 +96,21 @@ def random_bundle(curve, rng, ranks=(2, 3), allow_mod=True, deg_range=(-5, -1)):
     return BundleSpec(curve, factors, mods)
 
 
+@pytest.fixture(scope="session")
+def scan_bundles(C7, eflat):
+    """eflat and seeded random bundles of rank 2 and 3 on C7, split and with
+    one modification, for whole-scan comparisons."""
+    rng = random.Random(21)
+    out = [eflat]
+    for r in (2, 2, 3, 3):
+        modified = len(out) % 2 == 0
+        E = None
+        while E is None or len(E.modifications) != modified:
+            E = random_bundle(C7, rng, ranks=(r,), allow_mod=modified, deg_range=(-3, -2))
+        out.append(E)
+    return out
+
+
 def random_direction(field, r, rng, bias_first=0.25):
     if rng.random() < bias_first:
         return tuple([field.one] + [field.zero] * (r - 1))

@@ -143,6 +143,54 @@ def test_nilpotent_hypothesis_by_hom_dimension(doc, end_dim, tmp_path, capsys):
                                "reason": "a rank-one nilpotent endomorphism exists"}]
 
 
+CQ_FACTORS = {"wide": ([[{"point": "O", "mult": -1}], [{"point": "O", "mult": -4}]],
+                       {"exists": True, "end_dim": 5,
+                        "witness_coeffs": ["0", "1", "0", "0", "0"]}),
+              "estar-shape": ([[{"point": "O", "mult": -3}],
+                               [{"point": "O", "mult": -2},
+                                {"point": ["0", "0"], "mult": -1}]],
+                              {"exists": False, "end_dim": 2})}
+
+
+@pytest.mark.parametrize("name", sorted(CQ_FACTORS))
+def test_nilpotent_hypothesis_over_the_rationals(name, tmp_path, capsys):
+    """hypothesis-nilpotent answers over Q (y^2 = x^3 - x); mainC, which
+    enumerates Pic^0, still refuses an infinite field."""
+    factors, want = CQ_FACTORS[name]
+    path = tmp_path / "cq.json"
+    path.write_text(json.dumps({"field": {"kind": "rationals"},
+                                "curve": {"a4": "-1", "a6": "0"},
+                                "bundle": {"factors": factors}, "M": []}))
+    code, out = run_inproc(["hypothesis-nilpotent", "--instance", str(path)], capsys)
+    assert code == 0 and json.loads(out) == dict(want, command="hypothesis-nilpotent")
+    code, out = run_inproc(["verify", "mainC", "--instance", str(path)], capsys)
+    assert code == 1 and "finite base field" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("k, code", [("9", 1), ("6", 1), ("5", 0)])
+def test_verify_mainA_checks_an_explicit_jet_order(k, code, capsys):
+    """An explicit --k is checked as osc checks it (k + 1 < p = 7), not cut
+    to the orders below the characteristic."""
+    got, out = run_inproc(["verify", "mainA", "--instance",
+                           str(INSTANCES / "estar.json"), "--k", k], capsys)
+    doc = json.loads(out)
+    assert got == code
+    if code:
+        assert doc["error"] == (f"InputError: jet order {k} needs k + 1 < "
+                                f"characteristic 7")
+    else:
+        assert [c["id"] for c in doc["clauses"]] == [f"k={j}" for j in range(6)]
+
+
+@pytest.mark.parametrize("k", [None, "2"])
+def test_verify_mainA_over_the_rationals_exits_1(k, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(OVER_Q))
+    argv = ["verify", "mainA", "--instance", str(path)]
+    code, out = run_inproc(argv + (["--k", k] if k else []), capsys)
+    assert code == 1 and "error" in json.loads(out)
+
+
 @pytest.mark.parametrize("seeds, code", [("-1", 1), ("0", 1), ("1", 0),
                                          (str(cli._SEEDS_MAX + 1), 1)])
 def test_appendixA_seed_count_is_bounded(seeds, code, capsys):

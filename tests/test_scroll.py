@@ -513,3 +513,32 @@ def test_witness_orbit_by_inverse_frobenius_is_caught(esharp, monkeypatch):
     monkeypatch.setattr(Curve, "frobenius",
                         lambda curve, place: sigma(curve, sigma(curve, place)))
     assert len(_witness_mismatches(esharp, M0, 2, 3)) > 100
+
+
+def _second_pass(ctx, k):
+    """The subfull locus as a classification of its own at kr + 1."""
+    return list(scroll._classify(ctx, ctx.scan_level(k), k * ctx.E.rank + 1))
+
+
+def _records(recs):
+    return [(rec.place, rec.mode, rec.basis, rec.directions, rec.fiber_size)
+            for rec in recs]
+
+
+def test_subfull_locus_is_read_off_d_k(scan_bundles, C7):
+    """d_k <= kr, and scan_report's single classification gives the subfull
+    locus a second pass at kr + 1 gives, on every twist class at e = 1, 2
+    and k = 0..4: the relative locus when d_k = kr, every fibre whole when
+    d_k < kr (k above n // r)."""
+    seen = Counter()
+    for E in scan_bundles:
+        for e in (1, 2):
+            for M in C7.pic0_representatives():
+                ctx = ScanContext(E, M, ext_degree=e, k_max=4)
+                for k in (4, 0, 1, 2, 3):
+                    rep = scan_report(ctx, k, cross_check=False)
+                    assert rep.d_k <= k * E.rank
+                    seen[rep.d_k == k * E.rank] += 1
+                    assert _records(rep.subfull) == _records(_second_pass(ctx, k)), \
+                        (E.to_json(), M, e, k)
+    assert seen[True] > 0 and seen[False] > 0

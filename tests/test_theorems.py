@@ -9,7 +9,8 @@ from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, Unsupported
 from scrollinflect.fields import PrimeField
 from scrollinflect.funcfield import FunctionRep
-from scrollinflect.theorems import (endomorphism_basis, hirschowitz_bound,
+from scrollinflect.scroll import _classify
+from scrollinflect.theorems import (_ScanPool, endomorphism_basis, hirschowitz_bound,
                                     kprime_expected_dims, nilpotent_rank1_exists,
                                     quot_tangent_obstruction, segre1,
                                     specialcases_ranges,
@@ -51,8 +52,9 @@ def test_kprime_expected_dims_examples():
     rec = kprime_expected_dims(2, -6, 1, m=4)
     assert rec["k_prime_m"] == 2
     assert rec["projected_expected_dim"] == 1
-    # an incomplete ambient system changes the numerology through n only
-    rec = kprime_expected_dims(2, -6, 1, n_override=4)
+    # n = 4 keeps k' = 2 and raises the top expected dimension to 1
+    rec = kprime_expected_dims(2, -5, 1)
+    assert rec["n"] == 4
     assert rec["k_prime"] == 2 and rec["expected_dim"][2] == 1
     with pytest.raises(InputError):
         kprime_expected_dims(2, 0, 1)
@@ -118,8 +120,15 @@ def test_nilpotent_examples(estar, eflat, edouble, esharp, CQ):
     assert nilpotent_rank1_exists(edouble)[0] is True
     with pytest.raises(Unsupported):
         nilpotent_rank1_exists(esharp)       # End of a conditioned bundle
-    with pytest.raises(Unsupported):
-        nilpotent_rank1_exists(BundleSpec(CQ, [single(INFINITY, -1)] * 2))
+    # the Hom-dimension criterion needs no finite field: y^2 = x^3 - x over Q
+    QQ = CQ.field
+    exists, details = nilpotent_rank1_exists(
+        BundleSpec(CQ, [single(INFINITY, -1), single(INFINITY, -4)]))
+    assert exists is True and details["dim"] == 5
+    assert details["witness_coeffs"] == [QQ.zero, QQ.one, QQ.zero, QQ.zero, QQ.zero]
+    exists, details = nilpotent_rank1_exists(BundleSpec(
+        CQ, [single(INFINITY, -3), Divisor({INFINITY: -2, Place(QQ.zero, QQ.zero): -1})]))
+    assert exists is False and details == {"dim": 2, "witness_coeffs": None}
 
 
 def _rank_le1_and_square_zero(m, add, sub, mul, is_zero):
@@ -336,3 +345,29 @@ def test_projection_verifier(estar):
     by_id = {c["id"]: c for c in rep.clauses}
     assert by_id["dimension-hypothesis"]["pass"]
     assert by_id["adversarial-projection-inflects"]["pass"]
+
+
+def _first_record(pool, M_list, k, e_list):
+    """The first record of a classification at kr + 1 of its own, over the
+    twist classes in order at each extension degree in turn."""
+    for ctx in (pool.ctx(M, e) for e in e_list for M in M_list):
+        for rec in _classify(ctx, ctx.scan_level(k), k * pool.E.rank + 1):
+            return ctx, rec
+    return None
+
+
+def test_first_subfull_is_the_first_record_of_a_second_pass(scan_bundles, C7):
+    """_ScanPool.first_subfull, which reads scan_report, finds the context
+    and the record a second pass at kr + 1 finds first."""
+    M_list = C7.pic0_representatives()
+    for E in scan_bundles:
+        pool = _ScanPool(E, 4)
+        for k in range(5):
+            got = pool.first_subfull(M_list, k, (1, 2))
+            want = _first_record(pool, M_list, k, (1, 2))
+            assert (got is None) == (want is None), (E.to_json(), k)
+            if got is not None:
+                (ctx, rec), (want_ctx, want_rec) = got, want
+                assert ctx is want_ctx
+                assert (rec.place, rec.mode, rec.basis, rec.directions) == \
+                    (want_rec.place, want_rec.mode, want_rec.basis, want_rec.directions)
