@@ -280,9 +280,6 @@ class SectionBasis:
             out.append(tuple(vec))
         return out
 
-    def component_shift(self, i, place):
-        return self.bases[i].D.mult(place)
-
     def table(self, place, prec):
         """The normalized rows of every basis function, slot by slot, read
         from the curve's Riemann-Roch memo (RRBasis.normalized_rows)."""

@@ -389,9 +389,8 @@ def build_parser():
     p = _Parser(prog="scroll-inflect", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, instance=True):
-        if instance:
-            sp.add_argument("--instance", required=True)
+    def common(sp):
+        sp.add_argument("--instance", required=True)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--M", default=None)
         sp.add_argument("--ext", type=int, default=None)

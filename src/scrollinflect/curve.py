@@ -64,9 +64,6 @@ class Divisor:
     def degree(self):
         return sum(self.support.values())
 
-    def is_zero(self):
-        return not self.support
-
     def add(self, other):
         out = Divisor(dict(self.support))
         for place, mult in other.support.items():
@@ -78,9 +75,6 @@ class Divisor:
 
     def sub(self, other):
         return self.add(other.neg())
-
-    def scale(self, n):
-        return Divisor({p: n * m for p, m in self.support.items()}) if n else Divisor()
 
     def key(self):
         """The support as a frozenset of (place, mult) pairs: equal divisors

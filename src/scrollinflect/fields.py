@@ -362,9 +362,6 @@ class RationalField(Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def elements(self):
-        raise InputError("cannot enumerate an infinite field")
-
     def validate(self, a):
         if not isinstance(a, Fraction):
             raise InputError(f"{a!r} is not a Fraction")

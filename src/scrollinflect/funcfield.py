@@ -181,9 +181,10 @@ class FunctionRep:
         return not self.n0 and not self.n1
 
     def __eq__(self, other):
-        if not isinstance(other, FunctionRep) or other.curve != self.curve:
-            return False
-        return self.sub(other).is_zero()
+        """Equal normal forms: the constructor's form (no common factor, d0
+        monic) is unique for each function (see principal_function)."""
+        return (isinstance(other, FunctionRep) and other.curve == self.curve
+                and (self.n0, self.n1, self.d0) == (other.n0, other.n1, other.d0))
 
     # -- arithmetic -------------------------------------------------------------
     def mul(self, other):
@@ -194,31 +195,11 @@ class FunctionRep:
         n1 = padd(K, pmul(K, self.n0, other.n1), pmul(K, self.n1, other.n0))
         return FunctionRep(self.curve, n0, n1, pmul(K, self.d0, other.d0))
 
-    def inverse(self):
-        """1/f.  No engine caller; kept, with div, for the Miller reference."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
-        K = self.curve.field
-        # 1/(n0 + n1 y) = (n0 - n1 y)/(n0^2 - n1^2 (x^3 + a4 x + a6))
-        return FunctionRep(self.curve, pmul(K, self.d0, self.n0),
-                           pneg(K, pmul(K, self.d0, self.n1)),
-                           _norm(self.curve, self.n0, self.n1))
-
-    def div(self, other):
-        return self.mul(other.inverse())
-
     def add(self, other):
         K = self.curve.field
         n0 = padd(K, pmul(K, self.n0, other.d0), pmul(K, other.n0, self.d0))
         n1 = padd(K, pmul(K, self.n1, other.d0), pmul(K, other.n1, self.d0))
         return FunctionRep(self.curve, n0, n1, pmul(K, self.d0, other.d0))
-
-    def neg(self):
-        K = self.curve.field
-        return FunctionRep(self.curve, pneg(K, self.n0), pneg(K, self.n1), self.d0)
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def scalar_mul(self, c):
         K = self.curve.field
@@ -373,29 +354,15 @@ def _order(curve, n0, n1, place):
 # chord / vertical-line building blocks
 
 
-def vertical_line(curve, P):
-    """x - x_P, with divisor (P) + (-P) - 2(O).  Kept for the Miller reference."""
-    K = curve.field
-    return FunctionRep(curve, [K.neg(P.x), K.one], [], [K.one])
-
-
 def _chord(curve, P, Q):
     """[-nu, -lam] for the line y = lam x + nu through P and Q (tangent if
     P == Q); not for vertical pairs."""
     lam = curve.chord_slope(P, Q)
     if lam is None:
-        raise InputError("chord through a vertical pair; use vertical_line")
+        raise InputError("chord through a vertical pair")
     K = curve.field
     nu = K.sub(P.y, K.mul(lam, P.x))
     return [K.neg(nu), K.neg(lam)]
-
-
-def chord_line(curve, P, Q):
-    """y - (lam x + nu) through P and Q (tangent if P == Q); not for vertical
-    pairs.  No engine caller: with vertical_line, FunctionRep.mul and div it
-    builds the step-by-step Miller reference principal_function is tested
-    against."""
-    return FunctionRep(curve, _chord(curve, P, Q), [curve.field.one], [curve.field.one])
 
 
 def _accumulate(curve, part):

@@ -47,7 +47,9 @@ from __future__ import annotations
 import random
 from itertools import product
 
-# normalized_series is re-exported: theorems expands explicit vectors with it
+# normalized_series is imported, not called: perfbench/tracer.py wraps it
+# under every engine name, and perfbench/selftest.py and
+# tests/test_bench_bindings.py assert this binding (theorems imports it here)
 from .bundle import (SectionBasis, dual_twist, elementary_transform,
                      fiber_frame, h0, normalized_series)
 from .curve import single
@@ -643,21 +645,6 @@ def _witness_cross_check(ctx, k, scans, subfull):
         if h_lower != wk.dimension - wk.span.rank or h_lower <= h_base:
             return False
     return True
-
-
-def sample_scan(E_spec, M, k, points, sections=None):
-    """Pointwise probe for infinite base fields: osculating dimensions at the
-    supplied scroll points, with deficiencies relative to the sample maximum.
-    No CLI command reaches it yet; it stays as the only scan route over the
-    rationals."""
-    if sections is None:
-        sections = h0(dual_twist(E_spec, M))
-    dims = [(x, osc_dim(E_spec, M, x, k, sections=sections)) for x in points]
-    d_k = max(d for _, d in dims)
-    return {"k": k, "d_k": d_k,
-            "dims": dims,
-            "deficient": [x for x, d in dims if d < d_k],
-            "subfull": [x for x, d in dims if d < k * E_spec.rank]}
 
 
 # --------------------------------------------------------------------------

