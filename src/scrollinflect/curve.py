@@ -16,11 +16,12 @@ from .series import LaurentSeries
 class Place:
     """A rational point: the point at infinity O, or affine (x, y)."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_hash")
 
     def __init__(self, x=None, y=None):
         self.x = x
         self.y = y
+        self._hash = hash((x, y))     # places are keys everywhere; none is mutated
 
     @property
     def is_infinity(self):
@@ -30,7 +31,7 @@ class Place:
         return isinstance(other, Place) and self.x == other.x and self.y == other.y
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return self._hash
 
     def __repr__(self):
         return "O" if self.is_infinity else f"({self.x},{self.y})"

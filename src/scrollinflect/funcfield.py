@@ -18,6 +18,15 @@ Orders are exact polynomial algebra, read off degrees at O and off root
 multiplicities of the polynomials and of the norm at an affine place
 (_order).  They size each local expansion, so it takes one pass.
 
+At an ordinary place (affine, y0 != 0) the uniformiser is t = x - x0, so
+x(t) = x0 + t exactly and a polynomial in x expands as its Taylor shift
+at x0: repeated synthetic division on plain lists, with only y(t) a
+series.  There the orders need no _order call when d0(x0) and
+n0(x0) + n1(x0) y0 are nonzero: t is a uniformiser, so an order is 0
+exactly when the value is.  At O (t = x/y) and at a ramified place
+(y0 = 0, t = y) x(t) is itself a series, and the polynomials are
+evaluated at it by Horner's rule over LaurentSeries.
+
 The Riemann-Roch layer is memoised on the curve that owns it, keyed by
 `Divisor.key()` (the support as a frozenset of (place, mult) pairs):
 principal_function builds and ord_at-verifies each distinct divisor's
@@ -224,12 +233,24 @@ class FunctionRep:
         So P = precision - v + max(vn, vd), or precision - v - 2 at O, and at
         least 1.  A result short of that, or with valuation other than v, is
         an InvariantViolation.
+
+        At an ordinary place (affine, y0 != 0) the uniformiser is
+        t = x - x0, so x(t) = x0 + t exactly and a polynomial in x expands
+        as its Taylor shift at x0 (_taylor_expansion), on plain lists; y(t)
+        enters as its coefficient window.  The sizing is the same, and
+        where d0(x0) and n0(x0) + n1(x0) y0 are both nonzero vn = vd = 0
+        without _order, since an order at a place where t is a uniformiser
+        is 0 exactly when the value is nonzero.  At O (t = x/y) and at a
+        ramified place (y0 = 0, t = y) x(t) is itself a series, so the
+        halves are evaluated by Horner's rule over LaurentSeries.
         """
         curve = self.curve
         curve.check_place(place)
         K = curve.field
         if self.is_zero():
             return LaurentSeries.zero(K, precision)
+        if not place.is_infinity and place.y != K.zero:
+            return _taylor_expansion(self, place, precision)
         vn = _order(curve, self.n0, self.n1, place)
         vd = _order(curve, self.d0, [], place)
         v = vn - vd
@@ -287,6 +308,79 @@ def _term_str(K, c, i, suffix):
     if body and cs == "1":
         return body
     return f"{cs}*{body}" if body else f"{cs}"
+
+
+def _taylor_expansion(f, place, precision):
+    """f.local_expansion(place, precision) at an ordinary place (x0, y0),
+    y0 != 0, where t = x - x0; local_expansion gives the sizing and the
+    order-0 test.  Each of n0, n1 and d0 is shifted to x0 + t
+    (_taylor_shift), the numerator is n0(x0 + t) + n1(x0 + t) y(t), and the
+    quotient is one power-series division of the two windows past their
+    orders.  param_series is called once, and must give x(t) = x0 + t and
+    y(t) known mod t^P; the leading Taylor coefficients must agree with vn
+    and vd.  Anything else is an InvariantViolation."""
+    curve = f.curve
+    K = curve.field
+    x0, zero = place.x, K.zero
+    if (peval(K, f.d0, x0) != zero
+            and K.add(peval(K, f.n0, x0), K.mul(peval(K, f.n1, x0), place.y)) != zero):
+        vn = vd = 0
+    else:
+        vn = _order(curve, f.n0, f.n1, place)
+        vd = _order(curve, f.d0, [], place)
+    v = vn - vd
+    P = max(precision - v + max(vn, vd), 1)
+    xs, ys = curve.param_series(place, P)
+    if (xs.prec < P or ys.prec < P or xs.val < 0 or ys.val < 0
+            or _window(K, xs, P) != ([x0, K.one] + [zero] * P)[:P]):
+        raise InvariantViolation(
+            f"param_series at {place!r} is not x0 + t and y(t) mod t^{P}")
+    if v >= precision:
+        return LaurentSeries.zero(K, precision)
+    m = precision - v
+    num = _taylor_shift(K, f.n0, x0, vn + m)
+    if f.n1:
+        y = _window(K, ys, vn + m)
+        for i, a in enumerate(_taylor_shift(K, f.n1, x0, vn + m)):
+            if a != zero:
+                for j in range(vn + m - i):
+                    num[i + j] = K.add(num[i + j], K.mul(a, y[j]))
+    den = _taylor_shift(K, f.d0, x0, vd + m)
+    if any(c != zero for c in num[:vn] + den[:vd]) or num[vn] == zero or den[vd] == zero:
+        raise InvariantViolation(
+            f"Taylor coefficients at {place!r} disagree with the orders {vn} and {vd}")
+    return LaurentSeries(K, v, _series_div(K, num[vn:], den[vd:]), precision)
+
+
+def _window(K, s, n):
+    """The coefficients of t^0 .. t^(n-1) of a series with val >= 0."""
+    return ([K.zero] * s.val + s.coeffs + [K.zero] * n)[:n]
+
+
+def _taylor_shift(K, a, x0, n):
+    """The coefficients of t^0 .. t^(n-1) of a(x0 + t).  Pass i is
+    _synthetic_div of c[i:] by x - x0, done in place: its remainder, the
+    next Taylor coefficient, is left in c[i] and its quotient in c[i + 1:]."""
+    c = list(a)
+    top = len(c) - 1
+    for i in range(min(n, top)):
+        for j in range(top - 1, i - 1, -1):
+            c[j] = K.add(c[j], K.mul(x0, c[j + 1]))
+    return (c + [K.zero] * n)[:n]
+
+
+def _series_div(K, u, w):
+    """u / w mod t^len(u), for coefficient windows with w[0] != 0."""
+    zero = K.zero
+    inv = K.inv(w[0])
+    negw = [K.neg(c) for c in w]
+    q = []
+    for k, a in enumerate(u):
+        for i in range(1, k + 1):
+            if negw[i] != zero:
+                a = K.add(a, K.mul(negw[i], q[k - i]))
+        q.append(K.mul(a, inv))
+    return q
 
 
 def _cubic(curve):

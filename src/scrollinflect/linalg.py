@@ -31,8 +31,8 @@ def rref(K, rows, ncols):
         rows[r] = [K.mul(inv, v) for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != K.zero:
-                f = rows[i][c]
-                rows[i] = [K.sub(rows[i][j], K.mul(f, rows[r][j])) for j in range(ncols)]
+                nf = K.neg(rows[i][c])
+                rows[i] = [K.add(a, K.mul(nf, b)) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -92,7 +92,8 @@ class EchelonAccumulator:
         for erow, pc in zip(self.rows[:rank], self.pivot_cols[:rank]):
             f = row[pc]
             if f != K.zero:
-                row = [K.sub(a, K.mul(f, b)) for a, b in zip(row, erow)]
+                nf = K.neg(f)
+                row = [K.add(a, K.mul(nf, b)) for a, b in zip(row, erow)]
         return row
 
     def insert(self, row):

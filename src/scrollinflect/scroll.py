@@ -54,7 +54,7 @@ from .bundle import (SectionBasis, dual_twist, elementary_transform,
                      fiber_frame, h0, normalized_series)
 from .curve import single
 from .errors import InputError, InvariantViolation, Unsupported
-from .linalg import EchelonAccumulator, mat_rank_kernel
+from .linalg import EchelonAccumulator, mat_rank_kernel, rref
 
 _ORACLE_SAMPLES = 2         # fibres on which scan_report runs the pole-counting route
 
@@ -341,16 +341,19 @@ def witness_sets(E_spec, M, k, ext_degree=1):
 
 
 class PlaceScan:
-    """Rank data of one fibre: base rank of all rows below order k, and the
-    residues T of the order-k rows against their span; the deficient
-    directions are the left kernel of T."""
+    """Rank data of one fibre: base rank of all rows below order k, the
+    residues T of the order-k rows against their span, and rank T.  A
+    direction v adds a row exactly when v.T != 0, so the deficient
+    directions are the left kernel of T, of dimension r - rank T: none
+    when rank T = r, every one when rank T = 0 (has_top is rank T > 0)."""
 
-    def __init__(self, field, place, base_rank, T_rows):
+    def __init__(self, field, place, base_rank, T_rows, T_rank):
         self.field = field
         self.place = place
         self.base_rank = base_rank
         self.T = T_rows                       # r x dim V
-        self.has_top = any(c != field.zero for row in T_rows for c in row)
+        self.T_rank = T_rank
+        self.has_top = T_rank > 0
 
     def rank_of(self, direction):
         K = self.field
@@ -362,14 +365,15 @@ class PlaceScan:
 
     def deficient_classification(self, threshold):
         """('none' | 'subspace' | 'all', basis) for rank(p, v) < threshold;
-        a subspace is the left kernel of T."""
+        a subspace is the left kernel of T, computed only when
+        0 < rank T < r."""
         if self.base_rank >= threshold:
             return "none", []
         if self.base_rank + 1 < threshold or not self.has_top:
             return "all", []
-        basis = mat_rank_kernel(self.field, zip(*self.T), len(self.T))[1]
-        if not basis:
+        if self.T_rank == len(self.T):
             return "none", []
+        basis = mat_rank_kernel(self.field, zip(*self.T), len(self.T))[1]
         return "subspace", [tuple(v) for v in basis]
 
 
@@ -467,10 +471,16 @@ class ScanContext:
         return acc, ranks[k]
 
     def place_scan(self, place, k):
+        """The PlaceScan of the place at order k: the base rank read off the
+        flag, T the order-k rows reduced against it, and rank T from a
+        small echelon of T's r rows.  Reading rank T off the shared flag
+        instead, by growing it to order k + 1, measured slower than the
+        kernels it saves."""
         orders = self.orders_at(place, k)      # before the flag: one expansion to k
         acc, rank = self.flag(place, k)
         T = [acc.residue(row, rank) for row in orders[k]]
-        return PlaceScan(self.curve.field, place, rank, T)
+        K = self.curve.field
+        return PlaceScan(K, place, rank, T, len(rref(K, T, self.sections.dimension)[1]))
 
     def scan_level(self, k):
         if k > self.k_max:

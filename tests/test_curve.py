@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from references import chord_line, div, vertical_line
+from scrollinflect import funcfield
 from scrollinflect.bundle import normalized_series
 from scrollinflect.cli import _divisor, _place
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
@@ -348,6 +349,51 @@ def test_local_expansion_checks_the_series_against_the_order(C7, monkeypatch):
         monkeypatch.setattr(Curve, "param_series", fake)
         with pytest.raises(InvariantViolation):
             v.local_expansion(P, 4)
+
+
+def test_ordinary_places_expand_by_taylor_shift(C7, C11, QQ, monkeypatch):
+    """At every place of C7, C11, C7 over F_49 and C7 over F_343, and at
+    ordinary places of y^2 = x^3 + 2 over Q, local_expansion equals the
+    truncated reference at every precision from -4 to 12.  At an ordinary
+    place (affine, y0 != 0) it evaluates no polynomial at a series, so a
+    fallback to Horner's rule fails here; O and the ramified places of
+    F_343 still take that route.  Over F_343 two of the order test
+    functions are drawn at each place, to keep the test short."""
+    rng = random.Random(23)
+    horner = []
+    peval = funcfield.peval_series
+
+    def counted(K, a, xs):
+        horner.append(a)
+        return peval(K, a, xs)
+
+    monkeypatch.setattr(funcfield, "peval_series", counted)
+    CQ2 = Curve(QQ, QQ.zero, QQ.from_int(2))
+    P = Place(QQ.from_int(-1), QQ.one)
+    rationals = [P, CQ2.point_neg(P), CQ2.point_add(P, P)]
+    cases = [(CQ2, p, rationals, None) for p in rationals]
+    for curve, drawn in [(C7, None), (C11, None), (C7.base_change(2), None),
+                         (C7.base_change(3), 2)]:
+        affine = curve.points()[1:]
+        cases += [(curve, p, affine, drawn) for p in curve.points()]
+    kinds = set()
+    for curve, place, affine, drawn in cases:
+        kind = curve.uniformiser_kind(place)
+        kinds.add(kind)
+        functions = order_test_functions(curve, place, affine, rng, n_random=1)
+        if drawn and len(functions) > drawn:
+            functions = rng.sample(functions, drawn)
+        for f in functions:
+            ref = reference_expansion(f, place)
+            del horner[:]
+            for precision in range(-4, 13):
+                got = f.local_expansion(place, precision)
+                want = ref.truncate(precision) if ref.val < precision \
+                    else LaurentSeries.zero(curve.field, precision)
+                assert (got.val, got.coeffs, got.prec) == \
+                    (want.val, want.coeffs, precision), (f, place, precision)
+            assert (not horner) == (kind == "generic"), (f, place)
+    assert kinds == {"generic", "ramified", "infinity"}
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])

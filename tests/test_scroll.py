@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -541,3 +542,50 @@ def test_subfull_locus_is_read_off_d_k(scan_bundles, C7):
                     assert _records(rep.subfull) == _records(_second_pass(ctx, k)), \
                         (E.to_json(), M, e, k)
     assert seen[True] > 0 and seen[False] > 0
+
+
+def _kernel_classification(scan, threshold):
+    """deficient_classification by the left kernel of T at every fibre whose
+    base rank is one below the threshold, with has_top read off T."""
+    K = scan.field
+    if scan.base_rank >= threshold:
+        return "none", []
+    if scan.base_rank + 1 < threshold or all(c == K.zero for row in scan.T for c in row):
+        return "all", []
+    basis = mat_rank_kernel(K, list(zip(*scan.T)), len(scan.T))[1]
+    if not basis:
+        return "none", []
+    return "subspace", [tuple(v) for v in basis]
+
+
+def test_rank_of_T_classification_equals_the_kernel_route(estar, esharp, eflat, C7,
+                                                         monkeypatch):
+    """At every place, at the thresholds d_k + 1 and kr + 1 for k = 0..2,
+    e = 1, 2 and every twist class, deficient_classification equals the
+    kernel route, rank T is T's rank, and a kernel is computed exactly
+    where the base rank is one below the threshold and 0 < rank T < r."""
+    kernels = []
+    kernel = scroll.mat_rank_kernel
+
+    def counted(K, rows, ncols):
+        kernels.append(ncols)
+        return kernel(K, rows, ncols)
+
+    monkeypatch.setattr(scroll, "mat_rank_kernel", counted)
+    modes = Counter()
+    for E, e, M in product((estar, esharp, eflat), (1, 2), C7.pic0_representatives()):
+        ctx = ScanContext(E, M, ext_degree=e, k_max=2)
+        for k in (2, 0, 1):
+            scans = ctx.scan_level(k)
+            d_k = max(scan.max_rank() for scan in scans.values()) - 1
+            for threshold in {d_k + 1, k * E.rank + 1}:
+                for place, scan in scans.items():
+                    assert scan.T_rank == _rank(scan.field, scan.T), place
+                    assert scan.has_top == (scan.T_rank > 0)
+                    del kernels[:]
+                    got = scan.deficient_classification(threshold)
+                    assert got == _kernel_classification(scan, threshold), (place, k)
+                    modes[got[0]] += 1
+                    assert bool(kernels) == (scan.base_rank + 1 == threshold
+                                             and 0 < scan.T_rank < E.rank), (place, k)
+    assert modes["none"] and modes["all"] and modes["subspace"], modes
