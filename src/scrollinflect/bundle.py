@@ -22,20 +22,23 @@ curve's Riemann-Roch memo once per (divisor, place) at the largest
 precision asked for (funcfield.RRBasis.normalized_rows); this module
 keeps no cache of its own.  The products b * (1/h) are formed only where
 functions are read (`SectionBasis.vectors`).  Every section's components
-are exact linear combinations of those rows (`section_coeffs`), and the
-fibre scans read them in that form, with no series object built;
-subsystems (random or adversarial projections) share the bases, so they
-read the rows the full system made.  Expansion is linear modulo t^prec,
-so every coefficient read is the one the summed function gives.
+are exact linear combinations of those rows (`section_coeffs`), read in
+that form, with no series object built, by h0, the witness route, the jet
+matrix and the fibre scans at conditioned places; subsystems (random or
+adversarial projections) share the bases, so they read the rows the full
+system made.  Expansion is linear modulo t^prec, so every coefficient
+read is the one the summed function gives.  At an unconditioned place
+the fibre scans read `frame_coeffs`: the same combinations of the
+unit-frame rows (RRBasis.frame_rows), where each basis's unit 1/h enters
+only by its value at the place.  That is another local frame of the
+bundle, and the osculating flags do not see it (scroll.order_matrices).
 
 Base change to F_{q^e} converts no values (fields.py): by flat base change
 H^0 over F_{q^e} is the lift of H^0 over F_q, so an extension scan
 computes the sections over the base curve and lifts them through one
 `base_change(e)`, which BundleSpec, RRBasis and SectionBasis each
 provide: it keeps every factor, condition, polynomial and coefficient row
-and only swaps in `curve.base_change(e)`.  A lifted Riemann-Roch basis
-keeps its rows at the places of C(F_p) in the base basis's memo
-(funcfield.RRBasis.base_change).
+and only swaps in `curve.base_change(e)`.
 """
 
 from __future__ import annotations
@@ -295,9 +298,23 @@ class SectionBasis:
     def section_coeffs(self, place, prec):
         """Per section, the r normalized components as lists of their
         coefficients of t^0 .. t^(prec-1)."""
+        return self._components(self.table(place, prec), prec)
+
+    def frame_coeffs(self, place, prec):
+        """section_coeffs in the unit frame: each component read from
+        RRBasis.frame_rows, with the unit of its slot's basis replaced by
+        the unit's value at the place.  Component i is section_coeffs'
+        divided by a unit g_i with g_i(p) = 1, the same for every section:
+        a change of local frame, which scroll.order_matrices reads at an
+        unconditioned place."""
+        table = [row for basis in self.bases for row in basis.frame_rows(place, prec)]
+        return self._components(table, prec)
+
+    def _components(self, table, prec):
+        """Per section, its coefficient row applied to the table's rows,
+        slot by slot."""
         K = self.spec.curve.field
-        zero = K.zero
-        table = self.table(place, prec)
+        zero, add, mul = K.zero, K.add, K.mul
         out = []
         for row in self.coeffs:
             comps = [[zero] * prec for _ in range(self.spec.rank)]
@@ -307,7 +324,7 @@ class SectionBasis:
                 acc = comps[slot]
                 for j in range(prec):
                     if coeffs[j] != zero:
-                        acc[j] = K.add(acc[j], K.mul(c, coeffs[j]))
+                        acc[j] = add(acc[j], mul(c, coeffs[j]))
             out.append(comps)
         return out
 

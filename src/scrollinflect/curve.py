@@ -134,6 +134,7 @@ class Curve:
         # funcfield's Riemann-Roch memo; it holds plain data only, nothing
         # that refers back to this curve, so the curve has no reference cycle
         self._monomial_expansions = {}   # (place, key) -> (prec, series)
+        self._monomial_tables = {}       # ordinary place -> (prec, x^i, x^i y windows)
         self._principal_functions = {}   # divisor key -> (n0, n1, d0)
         self._rr_bases = {}              # divisor key -> funcfield._RRData
         self._base_changes = {}

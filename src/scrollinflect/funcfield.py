@@ -31,14 +31,16 @@ The Riemann-Roch layer is memoised on the curve that owns it, keyed by
 `Divisor.key()` (the support as a frozenset of (place, mult) pairs):
 principal_function builds and ord_at-verifies each distinct divisor's
 function once, and rr_basis builds each L(D) once.  The basis monomials
-and each L(D)'s normalized rows are expanded once per place, at the
-largest precision asked for; smaller requests truncate them.  A basis
-lifted to F_{p^e} (RRBasis.base_change) keeps its rows at the places of
-C(F_p) in the base basis's memo, so the scans of one divisor over F_p,
-F_{p^2} and F_{p^3} expand such a place once; its rows at every other
-place stay in the extension curve's memo.  The memo keeps plain data
-only: normalised polynomial tuples, monomial keys, the target divisor,
-series and rows of field elements.  FunctionRep wrappers are rebuilt
+and each L(D)'s rows are expanded once per place, at the largest
+precision asked for; smaller requests truncate them.  At an ordinary
+place the monomials x^i and x^i y come from one table per place, grown
+by multiplying by x0 + t, and the simple-pole key from one division by a
+linear factor, with no local_expansion call.  Each L(D) keeps two kinds
+of rows per place: the normalized rows (the unit 1/h expanded in full)
+and the unit-frame rows (1/h read only by its value there), which the
+fibre scans read (RRBasis.frame_rows).  The memo keeps plain data only:
+normalised polynomial tuples, monomial keys, the target divisor, series
+and rows of field elements.  FunctionRep wrappers are rebuilt
 from it by FunctionRep._wrap, which skips normalisation.  A memo value
 that held the curve would put the curve in a reference cycle, and every
 finished task's memo would then stay alive until a full garbage
@@ -559,34 +561,80 @@ def _monomial(curve, key):
     return FunctionRep._wrap(curve, [] if odd else xi, xi if odd else [], [K.one])
 
 
-def _monomial_expansion(curve, key, place, prec):
-    """The monomial named by key mod t^prec at the place (the empty window
-    when it vanishes there to order >= prec).  Kept per (curve, place, key)
-    at the largest precision asked for; smaller requests truncate it."""
+def _monomial_coeffs(curve, key, place, prec):
+    """(val, coeffs): the monomial named by key mod t^prec at the place,
+    coeffs[i] the coefficient of t^(val + i) (an empty list when it
+    vanishes there to order >= prec); callers share the lists, read-only.
+
+    At an ordinary place (affine, y0 != 0) the power-series window is read
+    from the place's table (_ordinary_window), with val = 0 and leading
+    zeros where the monomial vanishes; the simple-pole key is one division
+    of y(t) + y_T by the linear factor (x0 - x_T) + t unless x0 = x_T.  O,
+    the ramified places and the places +-T run local_expansion, kept per
+    (curve, place, key) at the largest precision asked for; smaller requests
+    truncate it."""
+    K = curve.field
+    if not place.is_infinity and place.y != K.zero:
+        if not isinstance(key, Place):
+            odd = key % 2
+            return 0, _ordinary_window(curve, place, (key - 3 * odd) // 2, odd, prec)
+        c = K.sub(place.x, key.x)
+        if c != K.zero:
+            # (c + t) q = y(t) + y_T: c q_j = y_j - q_(j-1), y_T entering as -q_(-1)
+            inv, prev, q = K.inv(c), K.neg(key.y), []
+            for a in _ordinary_window(curve, place, 0, 1, prec):
+                prev = K.mul(K.sub(a, prev), inv)
+                q.append(prev)
+            return 0, q
     memo = curve._monomial_expansions
     got = memo.get((place, key))
     if got is None or got[0] < prec:
         got = (prec, _monomial(curve, key).local_expansion(place, prec))
         memo[(place, key)] = got
-    return got[1] if got[0] == prec else got[1].truncate(prec)
+    exp = got[1] if got[0] == prec else got[1].truncate(prec)
+    return exp.val, exp.coeffs
+
+
+def _ordinary_window(curve, place, i, odd, prec):
+    """The coefficients of t^0 .. t^(prec-1) of x^i (odd = 0) or x^i y
+    (odd = 1) at an ordinary place, where t = x - x0.  The place's table
+    holds both powers at the largest precision asked for, from x^0 = 1 and
+    y(t) by the recurrence m -> (x0 + t) m, and grows a power at a time; a
+    larger precision rebuilds it, a smaller one reads a prefix."""
+    if prec <= 0:
+        return []
+    K = curve.field
+    got = curve._monomial_tables.get(place)
+    if got is None or got[0] < prec:
+        _, ys = curve.param_series(place, prec)
+        if ys.prec < prec or ys.val < 0:
+            raise InvariantViolation(f"param_series at {place!r} is not y(t) mod t^{prec}")
+        got = (prec, [[K.one] + [K.zero] * (prec - 1)], [_window(K, ys, prec)])
+        curve._monomial_tables[place] = got
+    n, powers = got[0], got[1 + odd]
+    x0 = place.x
+    while len(powers) <= i:
+        m = powers[-1]
+        powers.append([K.mul(x0, m[0])]
+                      + [K.add(K.mul(x0, m[j]), m[j - 1]) for j in range(1, n)])
+    return powers[i] if n == prec else powers[i][:prec]
 
 
 class _RRData:
     """What the curve keeps of one nonzero L(D), as plain data: hinv = 1/h
     as normalised polynomial tuples (n0, n1, d0), the monomial keys, the
-    target divisor and `rows`, place -> (prec, the normalized rows at the
-    largest precision asked for there).  On an extension curve, base_rows
-    is the `rows` of the F_p basis this one was lifted from (None if it
-    was not lifted); it holds the rows at the places of C(F_p)."""
+    target divisor, and per place (prec, rows) at the largest precision
+    asked for there: the normalized rows in `rows`, the unit-frame rows in
+    `frame` (RRBasis.frame_rows)."""
 
-    __slots__ = ("hinv", "keys", "target", "rows", "base_rows")
+    __slots__ = ("hinv", "keys", "target", "rows", "frame")
 
     def __init__(self, hinv, keys, target):
         self.hinv = hinv
         self.keys = keys
         self.target = target
         self.rows = {}
-        self.base_rows = None
+        self.frame = {}
 
 
 class RRBasis:
@@ -599,7 +647,7 @@ class RRBasis:
     curve, and hinv = 1/h for h with divisor D - target.  Those factors
     live in the curve's memo (_RRData).  The products b * hinv are formed
     only when the basis is iterated (functions); its length and its
-    expansions (normalized_rows) need only the factors.
+    expansions (normalized_rows, frame_rows) need only the factors.
     """
 
     def __init__(self, curve, D, data=None):
@@ -626,19 +674,11 @@ class RRBasis:
         return self._functions
 
     def base_change(self, e):
-        """The same basis over F_{p^e}.  Its factors join that curve's memo,
-        and its rows at the places of C(F_p) are kept in this basis's memo,
-        shared by every e.
+        """The same basis over F_{p^e}; its factors join that curve's memo.
 
         Sound because fields.extension_of only extends a prime field and
-        packs elements so that the ints 0..p-1 are F_p in every extension.
-        So a place that is O or has both coordinates below p is a place of
-        C(F_p); its uniformiser (x - x0, y or x/y), param_series, hinv and
-        the monomials are defined over F_p, and the arithmetic is exact, so
-        its rows are the same ints at every e.  The rows dict is not shared
-        as a whole: a packed int of p or more names different elements of
-        F_{p^2} and F_{p^3}, so one Place key can name two places.
-        """
+        packs elements so that the ints 0..p-1 are F_p in every extension:
+        hinv, the keys and the target are the same data there."""
         if e == 1:
             return self
         big = self.curve.base_change(e)
@@ -646,7 +686,6 @@ class RRBasis:
         if data is not None:
             data = big._rr_bases.setdefault(
                 self.D.key(), _RRData(data.hinv, data.keys, data.target))
-            data.base_rows = self._data.rows
         return RRBasis(big, self.D, data)
 
     def normalized_rows(self, place, prec):
@@ -656,45 +695,75 @@ class RRBasis:
         With a = mult_place(target) and v = a - mult_place(D) = ord(hinv),
         that series is (t^a b) * (t^-v hinv): a power series times a unit.
         So hinv is expanded mod t^(prec + v) unless it is 1, each b mod
-        t^(prec - a) (kept per curve and place; a b that vanishes to that
-        order is the empty window, so its row stays zero), and each row is
-        one truncated product.
+        t^(prec - a) (_monomial_coeffs; a b that vanishes to that order is
+        the empty window, so its row stays zero), and each row is one
+        truncated product.
         The memo keeps them per place at the largest precision asked for (a
         smaller request reads a prefix); callers share its lists, read-only.
-        A lifted basis keeps them at the places of C(F_p) in the base
-        basis's memo (base_change says why that is sound).
         """
+        return self._rows("rows", place, prec, self._unit_series)
+
+    def frame_rows(self, place, prec):
+        """normalized_rows with the unit t^-v hinv replaced by its value u0
+        at the place: per basis function, u0 times the coefficients of
+        t^0 .. t^(prec-1) of t^a b.  Every function of L(D) shares the unit,
+        so these are the normalized rows in another local frame of O(D),
+        which scroll.order_matrices reads at an unconditioned place (it says
+        why the flags are the same).
+
+        Where v = 0 and d0(x0) != 0, u0 = (n0 + n1 y0)(x0) / d0(x0), which
+        must be nonzero; elsewhere hinv is expanded mod t^(v + 1) and must
+        have order v.  Kept per place like normalized_rows, in `frame`."""
+        return self._rows("frame", place, prec, self._unit_value)
+
+    def _unit_series(self, place, prec, v):
+        """t^-v hinv mod t^prec, as its coefficient list."""
+        unit = FunctionRep._wrap(self.curve, *self._data.hinv).local_expansion(
+            place, prec + v)
+        if unit.val != v:
+            raise InvariantViolation(
+                f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
+        return unit.coeffs
+
+    def _unit_value(self, place, prec, v):
+        """[u0]: the value at the place of t^-v hinv."""
+        K = self.curve.field
+        n0, n1, d0 = self._data.hinv
+        if v == 0 and not place.is_infinity:
+            den = peval(K, d0, place.x)
+            if den != K.zero:
+                num = K.add(peval(K, n0, place.x), K.mul(peval(K, n1, place.x), place.y))
+                if num == K.zero:
+                    raise InvariantViolation(
+                        f"1/h vanishes at {place!r}, its divisor says order 0")
+                return [K.mul(num, K.inv(den))]
+        return self._unit_series(place, 1, v)
+
+    def _rows(self, slot, place, prec, unit):
+        """The rows of t^a b times unit(place, prec, v), kept in the _RRData
+        memo named by slot."""
         data = self._data
         if data is None or prec <= 0:
             return [[] for _ in range(len(self))]
-        memo = data.rows
-        if data.base_rows is not None and (
-                place.is_infinity or max(place.x, place.y) < self.curve.field.p):
-            memo = data.base_rows
+        memo = getattr(data, slot)
         got = memo.get(place)
         if got is not None and got[0] >= prec:
             return got[1] if got[0] == prec else [row[:prec] for row in got[1]]
         K = self.curve.field
         zero = K.zero
-        rows = [[zero] * prec for _ in range(len(self))]
         a = data.target.mult(place)
-        if data.target == self.D:         # h = 1: the unit is 1, nothing to expand
-            u = [K.one]
-        else:
-            v = a - self.D.mult(place)
-            hinv = FunctionRep._wrap(self.curve, *data.hinv)
-            unit = hinv.local_expansion(place, prec + v)
-            if unit.val != v:
-                raise InvariantViolation(
-                    f"1/h has order {unit.val} at {place!r}, its divisor says {v}")
-            u = unit.coeffs
-        for row, key in zip(rows, data.keys):
-            exp = _monomial_expansion(self.curve, key, place, prec - a)
-            for i, c in enumerate(exp.coeffs, exp.val + a):
-                if c == zero:
-                    continue
-                for j in range(min(len(u), prec - i)):
-                    row[i + j] = K.add(row[i + j], K.mul(c, u[j]))
+        # h = 1 when D is its own target: the unit is 1, nothing to expand
+        u = [K.one] if data.target == self.D else unit(place, prec, a - self.D.mult(place))
+        add, mul = K.add, K.mul
+        rows = []
+        for key in data.keys:
+            row = [zero] * prec
+            val, coeffs = _monomial_coeffs(self.curve, key, place, prec - a)
+            for i, c in enumerate(coeffs, val + a):
+                if c != zero:
+                    for j in range(min(len(u), prec - i)):
+                        row[i + j] = add(row[i + j], mul(c, u[j]))
+            rows.append(row)
         memo[place] = (prec, rows)
         return rows
 

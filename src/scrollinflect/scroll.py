@@ -18,15 +18,17 @@ twisted dual over the base curve (or the subsystem it is given), lifted to
 F_{q^e} through `base_change(e)`; the bundle and the twist class serve
 over the extension as they are.  All of these are defined over F_q, so
 the Taylor data at a conjugate place sigma(p) is the Frobenius image of
-the data at p: an extension context expands the order matrices at one
-place per Frobenius orbit and maps them entrywise to the rest of the
-orbit (ScanContext).  Taylor data stays in one form from the
+the data at p: an extension context expands the order matrices and scans
+the fibre at one place per Frobenius orbit and maps them entrywise to the
+rest of the orbit (ScanContext).  Taylor data stays in one form from the
 Riemann-Roch rows to the classification: plain lists of field elements,
-put in the fibre frame by one helper (`_frame_coords`).  The
-osculating spans Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are nested, so a
-ScanContext keeps one echelon accumulator per place, grown order by order
-(`flag`); every jet order, the centre-avoidance test of projections and
-the global generation check read prefixes of it.
+put in the fibre frame by one helper (`_frame_coords`).  The scans read
+them in the unit frame at unconditioned places, where each component's
+unit enters only by its value (order_matrices says why no flag
+changes).  The osculating spans Osc^0 ⊂ Osc^1 ⊂ ... of a fibre are
+nested, so a ScanContext keeps one echelon accumulator per place, grown
+order by order (`flag`); every jet order, the centre-avoidance test of
+projections and the global generation check read prefixes of it.
 
 The subsheaf-witness side reads only h^0 and fibre values, never the jet
 flag.  Its level-k witness set W_k at p is the image of
@@ -164,6 +166,11 @@ def alpha_series(E_spec, sections, place, k_max):
     frame = fiber_frame(E_spec, place)
     if frame is None:
         return sections.section_coeffs(place, k_max + 1)
+    return _raised_series(E_spec, sections, place, k_max, frame)
+
+
+def _raised_series(E_spec, sections, place, k_max, frame):
+    """alpha_series at a place with fibre frame `frame` (not None)."""
     raised = range(1, E_spec.rank)
     return [_frame_coords(E_spec.curve.field, frame[0], comps, raised,
                           "dual section has an illegal polar part at a modified place")
@@ -186,8 +193,28 @@ def lead_vectors(E_spec, place, coeffs):
 
 def order_matrices(E_spec, sections, place, k_max):
     """B_j (r x dim V) for j = 0..k_max: B_j[i][c] = t^j-coefficient of the
-    i-th frame coordinate of section c."""
-    alphas = alpha_series(E_spec, sections, place, k_max)
+    i-th frame coordinate of section c, in the unit frame at an
+    unconditioned place and in alpha_series' frame elsewhere.
+
+    The unit frame.  Component i of every section is w_i times a power
+    series, w_i = t^-v (1/h) the unit of the Riemann-Roch basis of its
+    slot; the unit frame reads it as u0_i times that series, u0_i = w_i(p)
+    (SectionBasis.frame_coeffs).  Write w_i = u0_i g_i with g_i(0) = 1:
+    diag(g_i) is a change of local frame that is the identity on the
+    fibre.  The old component is g_i times the new one, so every old row
+    (i, j) is the new row (i, j) plus multiples of the new rows (i, j')
+    with j' < j.  The flag takes the rows order by order, so when row
+    (i, j) arrives the rows (i, j' < j) are in it, and EchelonAccumulator
+    reduces the old and the new row to the same residue (a residue is zero
+    at every pivot, which fixes it within the span).  So the echelon rows,
+    pivots, base ranks, T and rank T are those of alpha_series' rows, and
+    so is every scan output.  At a conditioned place the fibre frame mixes
+    components with different g_i, and the full expansions are read."""
+    frame = fiber_frame(E_spec, place)
+    if frame is None:
+        alphas = sections.frame_coeffs(place, k_max + 1)
+    else:
+        alphas = _raised_series(E_spec, sections, place, k_max, frame)
     return [[[alpha[i][j] for alpha in alphas] for i in range(E_spec.rank)]
             for j in range(k_max + 1)]
 
@@ -381,17 +408,24 @@ class ScanContext:
     """Shared per-(E, M, extension) scan data: sections, order matrices and
     one nested osculating flag per place.
 
-    Over F_{q^e}, e > 1, the order matrices are expanded only at the first
-    place of each Frobenius orbit (frobenius_orbits); q is prime here
-    (fields.extension_of) and sigma is a -> a^q.  This is sound because E,
-    M, the sections (coefficient rows over F_q on a Riemann-Roch basis of
-    the base curve) and the canonical uniformisers x - x0, y and x/y are
-    all defined over F_q, and the frame changes and echelon steps commute
-    with a field automorphism: at sigma(p) every Taylor coefficient is the
-    image under sigma of the one at p, so orders_at(sigma(p)) is read
-    entrywise from orders_at(p).  The sections must therefore live on the
-    bundle's base curve, which the constructor checks.  At e = 1 no orbit
-    is formed.
+    The order matrices are read in the unit frame at an unconditioned
+    place (order_matrices): each Riemann-Roch basis's unit 1/h enters by
+    its value there, which changes the local frame and no flag, so the
+    rows cost one monomial table per place (funcfield) and no product of
+    series.
+
+    Over F_{q^e}, e > 1, the order matrices are expanded, and the fibres
+    scanned, only at the first place of each Frobenius orbit
+    (frobenius_orbits); q is prime here (fields.extension_of) and sigma is
+    a -> a^q.  This is sound because E, M, the sections (coefficient rows
+    over F_q on a Riemann-Roch basis of the base curve), the units' values
+    and the canonical uniformisers x - x0, y and x/y are all defined over
+    F_q, and the frame changes and echelon steps commute with a field
+    automorphism: at sigma(p) every Taylor coefficient is the image under
+    sigma of the one at p, so orders_at(sigma(p)) is read entrywise from
+    orders_at(p), and scan_level maps the PlaceScan of p the same way.  The
+    sections must therefore live on the bundle's base curve, which the
+    constructor checks.  At e = 1 no orbit is formed.
 
     k_max is the cap that check_jet_order checks, not the depth every
     place is expanded to: orders_at expands a place only as deep as it is
@@ -423,8 +457,8 @@ class ScanContext:
         self.places = self.curve.points()
         self._orders = {}
         self._flags = {}           # place -> (EchelonAccumulator, ranks by order)
-        self._preimage = {image: prev
-                          for orbit in frobenius_orbits(base_curve, ext_degree)
+        self._orbits = frobenius_orbits(base_curve, ext_degree)
+        self._preimage = {image: prev for orbit in self._orbits
                           for prev, image in zip(orbit, orbit[1:])}
 
     def orders_at(self, place, k):
@@ -483,9 +517,22 @@ class ScanContext:
         return PlaceScan(K, place, rank, T, len(rref(K, T, self.sections.dimension)[1]))
 
     def scan_level(self, k):
+        """{place: PlaceScan at order k}, in place order.  place_scan runs at
+        the first place of each Frobenius orbit; at sigma(p) the scan is
+        that of p with T mapped entrywise by sigma (base rank and rank T
+        are kept), since orders_at(sigma(p)) is the image of orders_at(p)
+        and the echelon steps commute with sigma.  The orbit is walked in
+        order, so the scan at its predecessor is always there."""
         if k > self.k_max:
             raise InputError("scan context was built for a smaller jet order")
-        return {place: self.place_scan(place, k) for place in self.places}
+        K = self.curve.field
+        scans = {}
+        for orbit in self._orbits:
+            scan = scans[orbit[0]] = self.place_scan(orbit[0], k)
+            for image in orbit[1:]:
+                scan = scans[image] = PlaceScan(K, image, scan.base_rank,
+                                                _frobenius_rows(K, scan.T), scan.T_rank)
+        return {place: scans[place] for place in self.places}
 
 
 class FiberDeficiency:

@@ -601,25 +601,47 @@ def test_lifted_rows_equal_a_fresh_build(F7, first):
                     want.normalized_rows(place, prec), (D, e, place, prec)
 
 
-def test_lifted_rows_off_the_base_field_stay_in_their_own_memo(F7):
-    """Rows at a place off C(F_7) are kept only in the memo of the lifted
-    basis that asked for them, and rows at a place of C(F_7) only in the
-    base basis's memo.  A place with x in F_7 and y not (C(F_49) has some)
-    is off C(F_7)."""
-    curve = Curve(F7, 0, 2)
-    basis = rr_basis(curve, Divisor({Place(3, 1): 2, INFINITY: 1}))
-    lifts = {e: basis.base_change(e) for e in (2, 3)}
-    for e, lifted in lifts.items():
-        assert lifted._data.base_rows is basis._data.rows
-        points = lifted.curve.points()
-        base = [P for P in points if P.is_infinity or max(P.x, P.y) < 7]
-        off = [P for P in points if P not in base]
-        assert base == curve.points() and (e == 3 or any(P.x < 7 for P in off)), e
-        for place in points:
-            lifted.normalized_rows(place, 3)
-        assert set(lifted._data.rows) == set(off), e
-        assert set(basis._data.rows) == set(base), e
-    assert not set(lifts[2]._data.rows) & set(lifts[3]._data.rows)
+def test_monomial_table_equals_local_expansion(F7, F11, monkeypatch):
+    """At every ordinary place (affine, y0 != 0) of C7, C11 and C7 over F_49,
+    and at six drawn places of C7 over F_343, funcfield._monomial_coeffs
+    gives _monomial(curve, key).local_expansion(place, prec) for x^i and
+    x^i y of pole order up to 12 and for the simple-pole key of every affine
+    point T, at precisions 0..8 asked for rising and then falling on one
+    curve (the table is built, grown, rebuilt larger and read by prefix).
+    It runs local_expansion only for the keys T with x_T = x0, the places
+    +-T."""
+    rng = random.Random(24)
+    expand = FunctionRep.local_expansion
+    calls = []
+
+    def counted(f, place, precision):
+        calls.append(f)
+        return expand(f, place, precision)
+
+    monkeypatch.setattr(FunctionRep, "local_expansion", counted)
+    precs = list(range(9)) + list(range(8, -1, -1))
+    pole_calls = 0
+    C7 = Curve(F7, 0, 2)
+    for curve, drawn in [(C7, None), (Curve(F11, 0, 4), None),
+                         (C7.base_change(2), None), (C7.base_change(3), 6)]:
+        K = curve.field
+        affine = curve.points()[1:]
+        ordinary = [P for P in affine if P.y != K.zero]
+        if drawn:
+            ordinary = rng.sample(ordinary, drawn)
+        for place in ordinary:
+            for prec in precs:
+                for key in [n for n in range(13) if n != 1] + affine:
+                    del calls[:]
+                    val, coeffs = funcfield._monomial_coeffs(curve, key, place, prec)
+                    pole = isinstance(key, Place) and key.x == place.x
+                    assert pole or not calls, (curve, key, place, prec)
+                    pole_calls += len(calls)
+                    got = LaurentSeries(K, val, coeffs, prec)
+                    want = expand(funcfield._monomial(curve, key), place, prec)
+                    assert (got.val, got.coeffs, got.prec) == \
+                        (want.val, want.coeffs, want.prec), (curve, key, place, prec)
+    assert pole_calls
 
 
 def test_rr_memo_keeps_the_checks(F7, monkeypatch):

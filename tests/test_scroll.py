@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -8,7 +9,7 @@ from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import InputError, Unsupported
 from scrollinflect.fields import extension_of
 from scrollinflect.funcfield import FunctionRep
-from scrollinflect.linalg import mat_rank_kernel
+from scrollinflect.linalg import EchelonAccumulator, mat_rank_kernel, rref
 from scrollinflect import scroll
 from scrollinflect.scroll import (ScanContext, ScrollPoint, _combo_basis,
                                   adversarial_projection, alpha_series,
@@ -589,3 +590,74 @@ def test_rank_of_T_classification_equals_the_kernel_route(estar, esharp, eflat, 
                     assert bool(kernels) == (scan.base_rank + 1 == threshold
                                              and 0 < scan.T_rank < E.rank), (place, k)
     assert modes["none"] and modes["all"] and modes["subspace"], modes
+
+
+def _flag_data(K, orders, k, ncols):
+    """(echelon rows, pivots, base rank, T, rank T) at order k of the order
+    matrices B_0.., formed as ScanContext.flag and place_scan form them."""
+    acc = EchelonAccumulator(K, ncols)
+    for B in orders[:k]:
+        for row in B:
+            acc.insert(row)
+    T = [acc.residue(row) for row in orders[k]]
+    return acc.rows, acc.pivot_cols, acc.rank, T, len(rref(K, T, ncols)[1])
+
+
+def test_unit_frame_gives_the_flags_of_the_full_expansions(estar, esharp, eflat, C7):
+    """order_matrices (the unit frame at an unconditioned place) and the
+    order matrices of alpha_series (full expansions of 1/h) give identical
+    flag echelon rows, pivots, base ranks, T and rank T at k = 0..3: for
+    estar, esharp and eflat, every twist class, the full system and a
+    random subsystem (_combo_basis), at every place of C7 and C7 over F_49
+    and at eight drawn places over F_343.  The unit frame is not the full
+    expansion itself at most of these places, so reading the units' values
+    wrong (as 1, say) shows in T."""
+    rng = random.Random(24)
+    differ = 0
+    for E, M in product((estar, esharp, eflat), C7.pic0_representatives()):
+        full = h0(dual_twist(E, M))
+        systems = [full, project_system(full, full.dimension - 1, 5)[0]]
+        for e, sections in product((1, 2, 3), systems):
+            big, lifted = E.base_change(e), sections.base_change(e)
+            K = big.curve.field
+            places = big.curve.points()
+            if e == 3:
+                places = rng.sample(places, 8)
+            for place in places:
+                unit = order_matrices(big, lifted, place, 3)
+                alphas = alpha_series(big, lifted, place, 3)
+                old = [[[alpha[i][j] for alpha in alphas] for i in range(E.rank)]
+                       for j in range(4)]
+                differ += unit != old
+                for k in range(4):
+                    assert _flag_data(K, unit, k, lifted.dimension) == \
+                        _flag_data(K, old, k, lifted.dimension), (E, M, e, place, k)
+    assert differ
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_frobenius_image_scans_equal_direct_scans(e, estar, esharp, C7, monkeypatch):
+    """scan_level runs place_scan once per Frobenius orbit, at its first
+    place, and the scans it maps to the rest of the orbit equal place_scan
+    run at each of those places on a fresh context; the scans come back in
+    place order."""
+    calls = []
+    scan = ScanContext.place_scan
+
+    def counted(ctx, place, k):
+        calls.append(place)
+        return scan(ctx, place, k)
+
+    monkeypatch.setattr(ScanContext, "place_scan", counted)
+    leaders = [orbit[0] for orbit in frobenius_orbits(C7, e)]
+    for E, M in [(estar, M0), (esharp, M0), (estar, Divisor({P31: 1, INFINITY: -1}))]:
+        ctx = ScanContext(E, M, ext_degree=e, k_max=2)
+        fresh = ScanContext(E, M, ext_degree=e, k_max=2)
+        for k in (1, 0, 2):
+            del calls[:]
+            scans = ctx.scan_level(k)
+            assert calls == leaders and list(scans) == ctx.places, (E, M, k)
+            for place, got in scans.items():
+                want = scan(fresh, place, k)
+                assert (got.place, got.base_rank, got.T, got.T_rank) == \
+                    (want.place, want.base_rank, want.T, want.T_rank), (E, M, k, place)
