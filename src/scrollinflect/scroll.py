@@ -463,18 +463,19 @@ class ScanContext:
 
     def orders_at(self, place, k):
         """B_0..B_d at the place, d >= k (k <= k_max), under one depth rule:
-        the first request expands to min(k + 2, k_max), a deeper one
-        re-expands to k_max, and a Frobenius image is read from its
-        preimage after asking the preimage for k.
+        the first request expands to exactly k, a deeper one re-expands to
+        k_max, and a Frobenius image is read from its preimage after asking
+        the preimage for k.
 
-        Why k + 2: an expansion costs more per call than per order, so a
-        second expansion of a place costs more than the orders a shallow
-        first one saved, and most contexts stop low.  Of the 180 contexts
-        of the seed-1 pass-0 threshold-verify tasks (k_max = 5), 68 are
-        scanned only at k = 0, 85 up to k = 1, 17 up to k = 2 and 10 up to
-        k = 5; depth k + 2 expands each place of the first 170 once and of
-        the last 10 twice.  Expanding to exactly k on the first request
-        was slower."""
+        No slack is needed, because callers ask for the deepest order of a
+        context first: mainA decides its holding clauses with one scan at
+        the top holding order (_ScanPool.clean_through), and a caller that
+        scans every order up to some k asks for k first (scan_reports).  Of
+        the 100 contexts of the seed-1 pass-0 threshold-verify tasks
+        (k_max = 5), the 90 over F_49 are scanned once, at the top holding
+        order, and expand each place once; the 10 over F_7 serve the failing
+        clauses, scanned upwards from the first, and expand a place at most
+        twice (to that order, then to k_max)."""
         got = self._orders.get(place)
         if got is None or len(got) <= k:
             prev = self._preimage.get(place)
@@ -482,7 +483,7 @@ class ScanContext:
                 got = [_frobenius_rows(self.curve.field, B)
                        for B in self.orders_at(prev, k)]
             else:
-                depth = self.k_max if got is not None else min(k + 2, self.k_max)
+                depth = k if got is None else self.k_max
                 got = order_matrices(self.E, self.sections, place, depth)
             self._orders[place] = got
         return got

@@ -212,20 +212,27 @@ class TheoremReport:
 class _ScanPool:
     """Cache of ScanContexts keyed by (twist class, extension degree).
 
-    k_max is a cap, not a cost: each context expands a place only as deep
-    as it is scanned (ScanContext.orders_at), so a pool built for the
-    largest order asked for pays for it only where a scan gets there."""
+    Each twist's sections h0(dual_twist(E, M)) are built once, over the
+    base curve, and every extension's context lifts them.  k_max is a cap,
+    not a cost: each context expands a place only as deep as it is scanned
+    (ScanContext.orders_at), so a pool built for the largest order asked
+    for pays for it only where a scan gets there."""
 
     def __init__(self, E_spec, k_max):
         self.E = E_spec
         self.k_max = k_max
         self.cache = {}
+        self.sections = {}
 
     def ctx(self, M, e):
         key = (M.key(), e)
         got = self.cache.get(key)
         if got is None:
-            got = ScanContext(self.E, M, ext_degree=e, k_max=self.k_max)
+            sections = self.sections.get(key[0])
+            if sections is None:
+                sections = self.sections[key[0]] = h0(dual_twist(self.E, M))
+            got = ScanContext(self.E, M, ext_degree=e, k_max=self.k_max,
+                              sections=sections)
             self.cache[key] = got
         return got
 
@@ -237,6 +244,31 @@ class _ScanPool:
             if subfull:
                 return ctx, subfull[0]
         return None
+
+    def clean_through(self, M_list, k, e_list):
+        """Whether no fibre of any listed twist is subfull at any order <= k
+        over any F_{q^e}, e in e_list (e <= 3), from one first_subfull: at
+        order k only, over the degrees e >= 2 of e_list, or over e = 1 when
+        that is the only degree.  Two lemmas make this exact.
+
+        (i) Subfull grows with k at a fixed fibre.  Let the fibre be subfull
+        at order k: base rank + [v.T_k != 0] <= kr for some direction v.
+        Either v.T_k = 0, so rank T_k <= r - 1 (and base rank <= kr), or
+        base rank <= kr - 1 (and rank T_k <= r).  In both cases the rows of
+        order <= k, which are the rows below order k + 1, have rank
+        base rank + rank T_k <= (k + 1)r - 1, so every direction is subfull
+        at order k + 1.  So a fibre clean at k is clean at every lower order.
+
+        (ii) C(F_q) lies in C(F_{q^e}), and an F_q-place scans alike in
+        every context: its order matrices are the same F_q entries (an
+        element of F_p packs to the same int in every extension, which
+        RRBasis.base_change relies on), and rank does not change under field
+        extension, so its base rank, T and rank T are those of the e = 1
+        scan.  With e <= 3 the only divisibility among degrees is 1 | e;
+        F_49 does not lie in F_343, so with e_list 1..3 both e = 2 and
+        e = 3 are scanned."""
+        wide = [e for e in e_list if e >= 2] or [1]
+        return self.first_subfull(M_list, k, wide) is None
 
 
 def _witness_json(found):
@@ -272,7 +304,15 @@ _WITNESS_EXT = 3            # F_{q^e} searched for a failure witness when s1 is 
 
 def verify_segre_threshold(E_spec, k_values=None, ext_degree=2):
     """The s_1 threshold criterion: s1 > d + r(1 + k) at genus one holds iff
-    every fibre point osculates fully at order k, for every twist class."""
+    every fibre point osculates fully at order k, for every twist class.
+
+    The inequality weakens as k grows, so the orders where it holds are
+    those up to some k_hi.  One scan at k_hi decides them all
+    (_ScanPool.clean_through): when it is clean, every holding clause
+    passes with no witness.  When it is not, each holding clause is scanned
+    on its own, so that a witness is the first in (e, M, place) order at
+    its order.  A failing clause is scanned on its own over e up to
+    max(3, ext_degree) for its witness."""
     curve = E_spec.curve
     if k_values is None:          # the default orders 0..5, cut to k + 1 < p
         k_values = [k for k in range(6) if k + 1 < curve.field.char]
@@ -284,11 +324,14 @@ def verify_segre_threshold(E_spec, k_values=None, ext_degree=2):
     s1 = segre1(E_spec).s1
     pool = _ScanPool(E_spec, max(k_values))
     M_list = curve.pic0_representatives()
+    degrees = range(1, ext_degree + 1)
+    holding = [k for k in k_values if s1 > d + r * (1 + k)]
+    clean = bool(holding) and pool.clean_through(M_list, max(holding), degrees)
     clauses = []
     for k in k_values:
-        ineq = s1 > d + r * (1 + k)
+        ineq = k in holding
         if ineq:
-            found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
+            found = None if clean else pool.first_subfull(M_list, k, degrees)
             ok = found is None
         else:
             found = pool.first_subfull(M_list, k, range(1, max(_WITNESS_EXT,
@@ -311,16 +354,24 @@ def _first_wedge_witness(E_spec, wedges, ext_degree):
     """The first fibre of a wedge-power scroll with dim Osc^k < kr, as
     {"wedge": n, "k": k, "witness": ...}, or None.  wedges lists (n, S_n,
     top_k): S_n is scanned at the orders 0..top_k with k + 1 < p, over every
-    twist class and over F_{q^e} for e <= ext_degree."""
+    twist class and over F_{q^e} for e <= ext_degree.
+
+    A wedge clean at its top order is clean at every lower one
+    (_ScanPool.clean_through), so it is skipped after that one scan; any
+    other is scanned order by order, so that its witness is the first in
+    (k, e, M, place) order."""
     curve = E_spec.curve
     M_list = curve.pic0_representatives()
+    degrees = range(1, ext_degree + 1)
     for n, Sn, top_k in wedges:
         ks = [k for k in range(top_k + 1) if k + 1 < curve.field.char]
         if not ks:
             continue
         pool = _ScanPool(Sn, max(ks))
+        if pool.clean_through(M_list, max(ks), degrees):
+            continue
         for k in ks:
-            found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
+            found = pool.first_subfull(M_list, k, degrees)
             if found is not None:
                 return {"wedge": n, "k": k, "witness": _witness_json(found)}
     return None
@@ -418,6 +469,7 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     # Hasse floor, so it runs only when e = 2 is scanned
     top_degrees = range(1, min(2, ext_degree) + 1)
     probed = expected_top <= 0 and 2 in top_degrees
+    degrees = range(1, ext_degree + 1)
     low_witness = None
     top_ok = True
     counts = {}
@@ -425,7 +477,10 @@ def verify_generic_inflection(E_spec, ext_degree=2):
     for M in passing:
         pool = _ScanPool(E_spec, k_prime)     # shared by clauses b and c
         # clause c scans at k' first, so its places are expanded once
-        # (ScanContext) and clause b reads prefixes of them
+        # (ScanContext) and clause b reads prefixes of them; clause b skips
+        # a twist clean through k' - 1 (_ScanPool.clean_through) and scans
+        # any other order by order, for the first witness in (k, e, place)
+        # order
         per_e = []
         for e in top_degrees:
             rep = scan_report(pool.ctx(M, e), k_prime, cross_check=False)
@@ -435,11 +490,12 @@ def verify_generic_inflection(E_spec, ext_degree=2):
         counts[_divisor_key(curve, M)] = per_e
         if probed and per_e[-1] >= _hasse_curve_floor(curve.field.order ** 2):
             top_ok = False
-        for k in range(k_prime):
-            if low_witness is not None:
-                break
-            low_witness = _witness_json(
-                pool.first_subfull([M], k, range(1, ext_degree + 1)))
+        if low_witness is None and k_prime > 0 and \
+                not pool.clean_through([M], k_prime - 1, degrees):
+            for k in range(k_prime):
+                low_witness = _witness_json(pool.first_subfull([M], k, degrees))
+                if low_witness is not None:
+                    break
     clauses.append({"id": "b:lower-loci-empty", "pass": low_witness is None,
                     "k_range": list(range(k_prime)), "witness": low_witness})
     clauses.append({"id": "c:top-locus", "pass": top_ok and d_top_ok,

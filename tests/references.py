@@ -7,13 +7,19 @@ which no command runs.
   multiplies the same lines unreduced, is checked against it.
 * The obstruction space Hom(N, E/N) of a maximal line subbundle N, and the
   nowhere-vanishing test behind it (criterion 9 of the acceptance suite).
+* The Segre-threshold verifier clause by clause: every order scanned on its
+  own, over F_{q^e} for each e in turn.  verify_segre_threshold, which
+  decides the holding clauses with one scan at the top one, is checked
+  against it.
 """
 
 from scrollinflect.bundle import h0, normalized_series
 from scrollinflect.curve import Divisor, single
 from scrollinflect.errors import DomainError, InputError
 from scrollinflect.funcfield import FunctionRep, _chord, _norm, pmul, pneg, rr_basis
-from scrollinflect.scroll import lead_vectors
+from scrollinflect.scroll import check_jet_order, lead_vectors
+from scrollinflect.theorems import (_PROXY_CAVEATS, _WITNESS_EXT, TheoremReport,
+                                    _bundle_inputs, _ScanPool, _witness_json, segre1)
 
 # --------------------------------------------------------------------------
 # Miller's line functions
@@ -86,3 +92,37 @@ def quot_tangent_obstruction(E_spec, witness):
     h0_dim = len(rr_basis(curve, hom_class))
     chi = hom_class.degree
     return h0_dim, h0_dim - chi
+
+
+# --------------------------------------------------------------------------
+# the Segre-threshold verifier, one scan per clause
+
+
+def segre_threshold_per_clause(E_spec, k_values=None, ext_degree=2):
+    """verify_segre_threshold with every clause scanned at its own order:
+    a holding clause over e = 1..ext_degree, a failing one over e up to
+    max(3, ext_degree) for its first witness."""
+    curve = E_spec.curve
+    if k_values is None:
+        k_values = [k for k in range(6) if k + 1 < curve.field.char]
+    for k in sorted(k_values, reverse=True):
+        check_jet_order(curve.field, k)
+    r, d = E_spec.rank, E_spec.degree
+    s1 = segre1(E_spec).s1
+    pool = _ScanPool(E_spec, max(k_values))
+    M_list = curve.pic0_representatives()
+    clauses = []
+    for k in k_values:
+        ineq = s1 > d + r * (1 + k)
+        if ineq:
+            found = pool.first_subfull(M_list, k, range(1, ext_degree + 1))
+            ok = found is None
+        else:
+            found = pool.first_subfull(M_list, k, range(1, max(_WITNESS_EXT,
+                                                               ext_degree) + 1))
+            ok = found is not None
+        clauses.append({"id": f"k={k}", "inequality_holds": ineq,
+                        "pass": ok, "witness": _witness_json(found)})
+    inputs = _bundle_inputs(E_spec)
+    inputs["s1"] = s1
+    return TheoremReport("mainA", inputs, clauses, _PROXY_CAVEATS)

@@ -601,6 +601,22 @@ def test_byte_determinism_across_processes():
     assert c1 == c2 == 0 and o1 == o2
 
 
+def test_one_parser_serves_consecutive_commands(capsys):
+    """The parser is built once per process: consecutive in-process calls
+    with other subcommands and flags (an explicit --k, then its default,
+    then an argv error) print what a fresh process prints for each."""
+    estar = str(INSTANCES / "estar.json")
+    argvs = [["osc", "--instance", estar, "--k", "3"], ["osc", "--instance", estar],
+             ["curve-info", "--instance", estar, "--ext", "2"],
+             ["osc", "--instance", estar, "--k", "x"]]
+    got = [run_inproc(argv, capsys) for argv in argvs]
+    assert [(code, out.encode()) for code, out in got] == \
+        [run_subprocess(argv) for argv in argvs]
+    assert [code for code, _ in got] == [0, 0, 0, 1]
+    assert len({out for _, out in got}) == 4
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("command", ["osc", "scan"])
 def test_injected_oracle_fault_exits_2(command, monkeypatch, capsys):
     real = scroll.osc_dim_oracle

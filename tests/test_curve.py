@@ -523,8 +523,8 @@ def test_rr_memo_leaves_no_reference_cycle(F7):
         V = h0(E, Divisor({P: 1, INFINITY: -1}))
         V.section_coeffs(P, 3)
         big = curve.base_change(2)
-        # O is a place of C(F_7), so its lifted rows go to the base memo;
-        # the place off C(F_7) fills the extension curve's own
+        # the lifted rows, at O as at the place off C(F_7), fill the
+        # extension curve's own memo
         off = next(Q for Q in big.points() if not Q.is_infinity and max(Q.x, Q.y) >= 7)
         for place in (INFINITY, off):
             V.base_change(2).section_coeffs(place, 3)
@@ -583,11 +583,11 @@ def _lift_divisors(curve):
 
 @pytest.mark.parametrize("first", [1, 2])
 def test_lifted_rows_equal_a_fresh_build(F7, first):
-    """A basis lifted to F_49 and F_343 keeps its rows at the places of
-    C(F_7) in the base basis's memo.  Whichever scan asks first (e = 1 or
-    e = 2), at precisions that rise and fall between the fields, the rows at
-    every place of C(F_7), C(F_49) and C(F_343) equal those a fresh curve
-    built over each field on its own gives."""
+    """A basis lifted to F_49 and F_343 keeps its rows in the extension
+    curve's memo, at the places of C(F_7) too.  Whichever scan asks first
+    (e = 1 or e = 2), at precisions that rise and fall between the fields,
+    the rows at every place of C(F_7), C(F_49) and C(F_343) equal those a
+    fresh curve built over each field on its own gives."""
     fresh = {e: Curve(extension_of(F7, e), 0, 2) for e in (1, 2, 3)}
     shared = Curve(F7, 0, 2)
     order = [(first, 3), (3 - first, 4), (3, 2), (1, 2), (2, 5)]

@@ -418,21 +418,29 @@ def _count_expansions(monkeypatch):
 
 def test_places_are_expanded_as_deep_as_they_are_scanned(estar, C7, monkeypatch):
     """The depth rule of ScanContext.orders_at: a first request at k expands
-    to min(k + 2, k_max) and a deeper one to k_max, each place once per
-    depth, orbit leaders only."""
+    to exactly k and a deeper one to k_max, each place once per depth,
+    orbit leaders only; lower orders read prefixes."""
     leaders = [orbit[0] for orbit in frobenius_orbits(C7, 2)]
     assert len(leaders) == 36
     calls = _count_expansions(monkeypatch)
     ctx = ScanContext(estar, M0, ext_degree=2, k_max=5)
+    ctx.scan_level(2)
+    assert [(place, depth) for _, place, depth in calls] == [(p, 2) for p in leaders]
     for k in range(3):
         ctx.scan_level(k)
-    assert [(place, depth) for _, place, depth in calls] == [(p, 2) for p in leaders]
+    assert len(calls) == 36
     ctx.scan_level(3)
     assert [(place, depth) for _, place, depth in calls[36:]] == \
         [(p, 5) for p in leaders]
     calls.clear()
+    ctx = ScanContext(estar, M0, ext_degree=2, k_max=5)
+    ctx.scan_level(0)
+    ctx.scan_level(1)
+    assert [(place, depth) for _, place, depth in calls] == \
+        [(p, 0) for p in leaders] + [(p, 5) for p in leaders]
+    calls.clear()
     ScanContext(estar, M0, ext_degree=2, k_max=5).scan_level(4)
-    assert [(place, depth) for _, place, depth in calls] == [(p, 5) for p in leaders]
+    assert [(place, depth) for _, place, depth in calls] == [(p, 4) for p in leaders]
 
 
 @pytest.mark.parametrize("degree, m_plus_1, k_top", [(-4, 7, 3), (-5, 9, 4)])

@@ -1,4 +1,4 @@
-"""tools/sweep.py: the byte-identity sweep lists 299 commands, and a command
+"""tools/sweep.py: the byte-identity sweep lists 309 commands, and a command
 hashes the same stdout on a second run."""
 
 import sys
@@ -10,9 +10,11 @@ import sweep  # noqa: E402
 
 def test_sweep_lists_distinct_commands(tmp_path):
     cmds = sweep.commands(str(tmp_path))
-    assert len(cmds) == 299
-    assert len({label for label, _ in cmds}) == 299
-    assert sum(1 for label, _ in cmds if label.startswith("perfbench ")) == 26
+    assert len(cmds) == 309
+    assert len({label for label, _ in cmds}) == 309
+    assert sum(1 for label, _ in cmds if label.startswith("perfbench ")) == 36
+    assert sum(1 for label, _ in cmds if label.startswith("perfbench threshold-verify-")
+               and label.endswith(": verify mainA --ext 3")) == 10
     assert sum(1 for label, _ in cmds if label.startswith("malformed estar, ")) == 49
     assert sum(1 for _, argv in cmds if argv[0] == "bounds") == 24
     assert sum(1 for label, _ in cmds if label.startswith("estar over F_49: ")) == 13

@@ -6,15 +6,18 @@ from math import ceil, floor
 import pytest
 
 from conftest import random_divisor
-from references import quot_tangent_obstruction
+from references import quot_tangent_obstruction, segre_threshold_per_clause
 from scrollinflect.bundle import BundleSpec, h0
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, Unsupported
 from scrollinflect.fields import PrimeField
 from scrollinflect.funcfield import FunctionRep
-from scrollinflect.scroll import _classify
-from scrollinflect.theorems import (_ScanPool, endomorphism_basis, hirschowitz_bound,
-                                    kprime_expected_dims, nilpotent_rank1_exists,
+import scrollinflect.theorems as theorems
+from scrollinflect.scroll import (PlaceScan, ScanContext, _classify, frobenius_orbits,
+                                  scan_reports)
+from scrollinflect.theorems import (_ScanPool, _witness_json, endomorphism_basis,
+                                    hirschowitz_bound, kprime_expected_dims,
+                                    nilpotent_rank1_exists,
                                     segre1, verify_cohomological_stability,
                                     verify_generic_inflection, verify_projection,
                                     verify_segre_threshold, verify_semistability)
@@ -390,3 +393,140 @@ def test_first_subfull_is_the_first_record_of_a_second_pass(scan_bundles, C7):
                 assert ctx is want_ctx
                 assert (rec.place, rec.mode, rec.basis, rec.directions) == \
                     (want_rec.place, want_rec.mode, want_rec.basis, want_rec.directions)
+
+
+def _subfull_at(pool, M, e, top):
+    """{k: {place: mode}} of the subfull records of one context, k = 0..top."""
+    ctx = pool.ctx(M, e)
+    return {rep.k: {rec.place: rec.mode for rec in rep.subfull}
+            for rep in scan_reports(ctx, top, cross_check=False)}
+
+
+def test_subfull_fibres_stay_subfull_in_every_direction(scan_bundles, C7):
+    """Lemma (i) of _ScanPool.clean_through: a fibre subfull at order k is
+    subfull in every direction at k + 1, for every twist and e = 1, 2."""
+    held = grew = 0
+    for E in scan_bundles:
+        pool = _ScanPool(E, 4)
+        for M in C7.pic0_representatives():
+            for e in (1, 2):
+                by_k = _subfull_at(pool, M, e, 4)
+                for k in range(4):
+                    assert set(by_k[k]) <= set(by_k[k + 1]), (E.to_json(), M, e, k)
+                    assert all(by_k[k + 1][place] == "all" for place in by_k[k])
+                    held += bool(by_k[k])
+                    grew += len(by_k[k + 1]) > len(by_k[k])
+    assert held > 0 and grew > 0
+
+
+def test_rational_places_scan_alike_over_every_extension(scan_bundles, C7):
+    """Lemma (ii) of _ScanPool.clean_through: at each place of C(F_7) the
+    PlaceScan over F_49 and F_343 has the base rank, T and rank T of the
+    one over F_7, for every twist and k = 0..3."""
+    for E in scan_bundles:
+        pool = _ScanPool(E, 3)
+        for M in C7.pic0_representatives():
+            for k in (3, 2, 1, 0):
+                want = [pool.ctx(M, 1).place_scan(place, k) for place in C7.points()]
+                for e in (2, 3):
+                    got = [pool.ctx(M, e).place_scan(place, k) for place in C7.points()]
+                    assert [(s.base_rank, s.T_rank, s.T) for s in got] == \
+                        [(s.base_rank, s.T_rank, s.T) for s in want], (E.to_json(), M, e, k)
+
+
+def _fault_place(C7, e):
+    """An orbit leader of C7 over F_{7^e} off C(F_7) (e = 2, 3), or a place
+    of C(F_7) (e = 1), where a fault is injected."""
+    if e == 1:
+        return Place(5, 1)
+    return next(orbit[0] for orbit in frobenius_orbits(C7, e) if len(orbit) == e)
+
+
+def _inject_fault(monkeypatch, C7, fault_e, k0):
+    """Zero T (every direction deficient) at _fault_place(C7, fault_e) in the
+    fourth twist class, at every order from k0 on, in every context whose
+    field contains that place's; returns the place."""
+    place = _fault_place(C7, fault_e)
+    M_bad = C7.pic0_representatives()[3]
+    real = ScanContext.place_scan
+
+    def faulty(ctx, at, k):
+        scan = real(ctx, at, k)
+        if at == place and k >= k0 and ctx.M.key() == M_bad.key() and \
+                ctx.ext_degree % fault_e == 0:
+            zero = [[ctx.curve.field.zero] * len(row) for row in scan.T]
+            return PlaceScan(ctx.curve.field, at, scan.base_rank, zero, 0)
+        return scan
+
+    monkeypatch.setattr(ScanContext, "place_scan", faulty)
+    return place
+
+
+@pytest.mark.parametrize("fault_e, k0, ext_degree", [(2, 1, 2), (2, 0, 2), (1, 1, 3),
+                                                      (3, 1, 3)])
+def test_a_deficient_holding_clause_gets_the_per_clause_witness(estar, C7, monkeypatch,
+                                                                 fault_e, k0, ext_degree):
+    """A fibre made subfull at every order from k0 on (T zeroed: every
+    direction deficient, as lemma (i) says it stays), in the fourth twist
+    class, over F_49 or F_343 only or at a place of C(F_7) in every context
+    (lemma (ii)): the mainA report equals the clause-by-clause reference,
+    witness included, and does not pass."""
+    place = _inject_fault(monkeypatch, C7, fault_e, k0)
+    rep = verify_segre_threshold(estar, ext_degree=ext_degree)
+    want = segre_threshold_per_clause(estar, ext_degree=ext_degree)
+    assert rep.to_json() == want.to_json()
+    assert not rep.passed
+    by_id = {c["id"]: c for c in rep.clauses}
+    for k in range(2):
+        assert by_id[f"k={k}"]["inequality_holds"]
+        assert by_id[f"k={k}"]["pass"] == (k < k0)
+    witness = by_id[f"k={k0}"]["witness"]
+    assert witness["whole_fiber"] and witness["ext_degree"] == fault_e
+    assert witness["point"] == C7.base_change(fault_e).place_to_json(place)
+
+
+@pytest.mark.parametrize("k0", [0, 1])
+def test_a_deficient_lower_locus_gets_the_first_witness(estar, C7, monkeypatch, k0):
+    """mainC clause b on estar (k' = 2) with a fibre over F_49 made subfull
+    from order k0 on: the witness is the first one of the order-by-order
+    scan of every twist over e = 1, 2, also at k0 = k' - 1, past the scan
+    that skips the twists clean through k' - 1."""
+    place = _inject_fault(monkeypatch, C7, 2, k0)
+    rep = verify_generic_inflection(estar, ext_degree=2)
+    pool = _ScanPool(estar, 2)
+    want = next(found for M in C7.pic0_representatives() for k in range(2)
+                if (found := pool.first_subfull([M], k, range(1, 3))) is not None)
+    clause = {c["id"]: c for c in rep.clauses}["b:lower-loci-empty"]
+    assert clause["k_range"] == [0, 1] and not clause["pass"]
+    assert clause["witness"] == _witness_json(want)
+    assert clause["witness"]["point"] == C7.base_change(2).place_to_json(place)
+
+
+@pytest.mark.parametrize("ext_degree", [1, 2, 3])
+def test_threshold_verifier_equals_the_per_clause_reference(scan_bundles, estar, esharp,
+                                                           edouble, ext_degree):
+    """Unfaulted, the report equals the clause-by-clause reference (one or
+    two holding clauses, then failing ones)."""
+    for E in scan_bundles + [estar, esharp, edouble]:
+        rep = verify_segre_threshold(E, k_values=[0, 1, 2, 3], ext_degree=ext_degree)
+        assert rep.to_json() == \
+            segre_threshold_per_clause(E, [0, 1, 2, 3], ext_degree).to_json(), E.to_json()
+
+
+@pytest.mark.parametrize("ext_degree, want", [(1, [(1, 1)] * 9), (2, [(2, 1)] * 9),
+                                              (3, [(2, 1)] * 9 + [(3, 1)] * 9)])
+def test_a_clean_range_is_scanned_once(estar, monkeypatch, ext_degree, want):
+    """verify mainA --k 1 on estar holds at k = 0 and 1 and is clean: one
+    scan_report per twist class at k = 1, over F_49 alone at ext 2 and over
+    F_49 and F_343 at ext 3."""
+    calls = []
+    real = theorems.scan_report
+
+    def counted(ctx, k, cross_check=True):
+        calls.append((ctx.ext_degree, k))
+        return real(ctx, k, cross_check)
+
+    monkeypatch.setattr(theorems, "scan_report", counted)
+    rep = verify_segre_threshold(estar, k_values=[0, 1], ext_degree=ext_degree)
+    assert rep.passed and all(c["inequality_holds"] for c in rep.clauses)
+    assert calls == want

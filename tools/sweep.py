@@ -1,4 +1,4 @@
-"""Byte-identity sweep: the stdout SHA-256 and exit code of 299 CLI commands.
+"""Byte-identity sweep: the stdout SHA-256 and exit code of 309 CLI commands.
 
     python3 tools/sweep.py                   # this checkout's working tree
     python3 tools/sweep.py --against HEAD    # and a committed revision, compared
@@ -22,7 +22,9 @@ answered and four that exit 1 (osc, brute-force segre, mainA, mainC); and
 `hypothesis-nilpotent` on O(-O) + O(-4O) there, which answers `exists`.
 Then one argv error (`osc --k x`, exit 1).  Then the 26 perfbench tasks of
 seed 1, pass 0 (ten threshold-verify, ten witness-crosscheck, six
-projection-scan), with the argv their workload gives.
+projection-scan), with the argv their workload gives, and `verify mainA
+--ext 3` on the ten threshold-verify instances (rank-2 and rank-3 bundles,
+three modified), whose clean ranges are scanned over F_49 and F_343.
 
 Each command runs in its own `python3 -m scrollinflect.cli` process with the
 tree's `src/` on PYTHONPATH, one at a time.  Both sides read the same input
@@ -235,7 +237,9 @@ def off_prime_commands(workdir):
 
 
 def bench_commands(workdir):
-    """The 26 pass-0 perfbench tasks of seed 1, instances written to workdir."""
+    """The 26 pass-0 perfbench tasks of seed 1, instances written to workdir,
+    then `verify mainA --ext 3` on the ten threshold-verify instances, where
+    the scans run over both F_49 and F_343."""
     perfbench = os.path.join(ROOT, "perfbench")
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
@@ -243,9 +247,11 @@ def bench_commands(workdir):
     out = []
     for workload in workloads.WORKLOADS:
         tasks = workloads.generate(workload, BENCH_SEED, 0)
-        for task, _, argv in workloads.write_tasks(workload, tasks, workdir):
-            out.append((f"perfbench {task['name']}: {' '.join(argv[:-2])}", argv))
-    return out
+        out += [(task["name"], argv)
+                for task, _, argv in workloads.write_tasks(workload, tasks, workdir)]
+    out += [(name, ["verify", "mainA", "--ext", "3"] + argv[-2:])
+            for name, argv in out if argv[:2] == ["verify", "mainA"]]
+    return [(f"perfbench {name}: {' '.join(argv[:-2])}", argv) for name, argv in out]
 
 
 def commands(workdir):
