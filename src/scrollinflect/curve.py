@@ -133,8 +133,8 @@ class Curve:
         self._param_cache = {}
         # funcfield's Riemann-Roch memo; it holds plain data only, nothing
         # that refers back to this curve, so the curve has no reference cycle
-        self._monomial_expansions = {}   # (place, key) -> (prec, series)
-        self._monomial_tables = {}       # ordinary place -> (prec, x^i, x^i y windows)
+        self._monomial_expansions = {}   # (place, pole T) -> (prec, series) off the table
+        self._monomial_tables = {}       # place -> (X^i rows, X^i Y rows, X's terms)
         self._principal_functions = {}   # divisor key -> (n0, n1, d0)
         self._rr_bases = {}              # divisor key -> funcfield._RRData
         self._base_changes = {}

@@ -18,24 +18,27 @@ Orders are exact polynomial algebra, read off degrees at O and off root
 multiplicities of the polynomials and of the norm at an affine place
 (_order).  They size each local expansion, so it takes one pass.
 
-At an ordinary place (affine, y0 != 0) the uniformiser is t = x - x0, so
-x(t) = x0 + t exactly and a polynomial in x expands as its Taylor shift
-at x0: repeated synthetic division on plain lists, with only y(t) a
-series.  There the orders need no _order call when d0(x0) and
-n0(x0) + n1(x0) y0 are nonzero: t is a uniformiser, so an order is 0
-exactly when the value is.  At O (t = x/y) and at a ramified place
-(y0 = 0, t = y) x(t) is itself a series, and the polynomials are
-evaluated at it by Horner's rule over LaurentSeries.
+Every expansion takes one route.  At a place x = t^a X(t) and y = t^b Y(t)
+with X, Y power series (_SHIFTS): (a, b) = (0, 0) at an ordinary place
+(t = x - x0, so X = x0 + t), (0, 1) at a ramified one (t = y, so Y = 1)
+and (-2, -3) at O (t = x/y).  So x^i y^odd is t^(a i + b odd) X^i Y^odd,
+and the curve keeps one table per place of X^i and X^i Y mod t^n, grown by
+multiplying by X.  A half n0 + n1 y of a function is a combination of its
+rows from t^s, s its least shift; to precision the quotient needs
+N = (precision - v) + (vn - s) of its coefficients from t^s, vn the order
+of the half and v that of the function (local_expansion says why), and
+one division.  At O, s = vn and N = precision - v, so x(t) is read mod
+t^(precision - v - 2), as X = t^2 x.
 
 The Riemann-Roch layer is memoised on the curve that owns it, keyed by
 `Divisor.key()` (the support as a frozenset of (place, mult) pairs):
 principal_function builds and ord_at-verifies each distinct divisor's
-function once, and rr_basis builds each L(D) once.  The basis monomials
-and each L(D)'s rows are expanded once per place, at the largest
-precision asked for; smaller requests truncate them.  At an ordinary
-place the monomials x^i and x^i y come from one table per place, grown
-by multiplying by x0 + t, and the simple-pole key from one division by a
-linear factor, with no local_expansion call.  Each L(D) keeps two kinds
+function once, and rr_basis builds each L(D) once.  Each L(D)'s rows are
+expanded once per place, at the largest precision asked for; smaller
+requests truncate them.  The monomials x^i and x^i y are read off the
+place's table, and so is the simple-pole key at an ordinary place other
+than +-T, by one division of Y by a linear factor; elsewhere that key is
+expanded by local_expansion and kept.  Each L(D) keeps two kinds
 of rows per place: the normalized rows (the unit 1/h expanded in full)
 and the unit-frame rows (1/h read only by its value there), which the
 fibre scans read (RRBasis.frame_rows).  The memo keeps plain data only:
@@ -131,18 +134,6 @@ def peval(K, a, x):
     return acc
 
 
-def peval_series(K, a, xs):
-    if not a:
-        return LaurentSeries.zero(K, xs.prec)
-    big = xs.prec + abs(min(0, xs.val)) * len(a) + 4
-    acc = LaurentSeries.constant(K, a[-1], big)
-    for c in reversed(a[:-1]):
-        acc = acc.mul(xs)
-        if c != K.zero:
-            acc = acc.add(LaurentSeries.constant(K, c, big))
-    return acc
-
-
 # --------------------------------------------------------------------------
 
 
@@ -224,53 +215,58 @@ class FunctionRep:
         at the place, give the empty window (valuation == precision, no
         coefficients): zero modulo t^precision is an answer, not an error.
 
-        Otherwise one pass, sized by the exact orders vn of the numerator, vd
-        of d0 and v = vn - vd.  Series products and inverses keep the smaller
-        relative precision (prec - val), so with x(t), y(t) known mod t^P:
-          * at an affine place x(t), y(t) have val >= 0, both halves are known
-            mod t^P, and the quotient mod t^(v + P - max(vn, vd));
-          * at O, x(t) = t^-2 (...) and y(t) = t^-3 (...) have relative
-            precision P + 2 and P + 3, Horner's rule keeps P + 2 for both
-            halves, and the quotient is known mod t^(v + P + 2).
-        So P = precision - v + max(vn, vd), or precision - v - 2 at O, and at
-        least 1.  A result short of that, or with valuation other than v, is
-        an InvariantViolation.
+        Otherwise one pass, sized by the exact orders vn of the numerator
+        n0 + n1 y, vd of d0 and v = vn - vd.  With x = t^a X(t) and
+        y = t^b Y(t) (_SHIFTS), each half is t^s times a power series, s the
+        least shift a i + b odd of its terms, read as a combination of the
+        place's rows of X^i and X^i Y (_combine).  The quotient mod
+        t^precision is t^v u/w mod t^m, m = precision - v, for u and w the
+        halves over t^vn and t^vd, and u/w mod t^m needs m coefficients of
+        each.  So the numerator is read for N = (precision - v) + (vn - s)
+        coefficients from t^s, d0 likewise from its own s.  Each term's row
+        enters from its start, so the table must hold the larger N, and one
+        param_series call gives X and Y that far (_param_windows).  At O the
+        top-degree terms of a half have pole orders of different parity, so
+        s is its order, N = precision - v, and the call asks for x(t) mod
+        t^(precision - v - 2), as X = t^2 x(t).  At an affine place s = 0,
+        or 1 where t = y and n0 = 0.  A leading window coefficient that
+        disagrees with vn or vd is an InvariantViolation.
 
-        At an ordinary place (affine, y0 != 0) the uniformiser is
-        t = x - x0, so x(t) = x0 + t exactly and a polynomial in x expands
-        as its Taylor shift at x0 (_taylor_expansion), on plain lists; y(t)
-        enters as its coefficient window.  The sizing is the same, and
-        where d0(x0) and n0(x0) + n1(x0) y0 are both nonzero vn = vd = 0
-        without _order, since an order at a place where t is a uniformiser
-        is 0 exactly when the value is nonzero.  At O (t = x/y) and at a
-        ramified place (y0 = 0, t = y) x(t) is itself a series, so the
-        halves are evaluated by Horner's rule over LaurentSeries.
+        At an affine place vn = vd = 0 without _order when d0(x0) and
+        n0(x0) + n1(x0) y0 are both nonzero: there the functions are
+        regular, so an order is 0 exactly when the value is nonzero.
         """
         curve = self.curve
         curve.check_place(place)
         K = curve.field
         if self.is_zero():
             return LaurentSeries.zero(K, precision)
-        if not place.is_infinity and place.y != K.zero:
-            return _taylor_expansion(self, place, precision)
-        vn = _order(curve, self.n0, self.n1, place)
-        vd = _order(curve, self.d0, [], place)
-        v = vn - vd
-        rel = -2 if place.is_infinity else max(vn, vd)
+        n0, n1, d0 = self.n0, self.n1, self.d0
+        x0 = place.x
+        if (not place.is_infinity and peval(K, d0, x0) != K.zero
+                and K.add(peval(K, n0, x0), K.mul(peval(K, n1, x0), place.y)) != K.zero):
+            vn = vd = 0
+        else:
+            vn = _order(curve, n0, n1, place)
+            vd = _order(curve, d0, [], place)
+        a, b = _SHIFTS[curve.uniformiser_kind(place)]
+        sn = min(a * (len(p) - 1) + b * odd for odd, p in enumerate((n0, n1)) if p)
+        sd = a * (len(d0) - 1)
+        m = precision - vn + vd
+        ln, ld = vn - sn, vd - sd
         # one param_series call per nonzero expansion, even an empty one,
         # keeps that call count equal to the expansion count
-        xs, ys = curve.param_series(place, max(precision - v + rel, 1))
-        if v >= precision:
+        n = max(m + max(ln, ld), 1)
+        table = _place_table(curve, place, n, _param_windows(curve, place, n))
+        if m <= 0:
             return LaurentSeries.zero(K, precision)
-        num = peval_series(K, self.n0, xs)
-        if self.n1:
-            num = num.add(peval_series(K, self.n1, xs).mul(ys))
-        res = num.mul(peval_series(K, self.d0, xs).invert())
-        if res.prec < precision or res.val != v:
+        num = _combine(K, table, a, b, n0, n1, sn, m + ln)
+        den = _combine(K, table, a, b, d0, [], sd, m + ld)
+        if any(c != K.zero for c in num[:ln] + den[:ld]) or num[ln] == K.zero \
+                or den[ld] == K.zero:
             raise InvariantViolation(
-                f"expansion at {place!r} has valuation {res.val} mod "
-                f"t^{res.prec}; the order is {v} and {precision} was asked for")
-        return res.truncate(precision)
+                f"expansion coefficients at {place!r} disagree with the orders {vn} and {vd}")
+        return LaurentSeries(K, vn - vd, _series_div(K, num[ln:], den[ld:]), precision)
 
     def ord_at(self, place):
         """Order of vanishing (negative for a pole) at the place: the order
@@ -312,63 +308,75 @@ def _term_str(K, c, i, suffix):
     return f"{cs}*{body}" if body else f"{cs}"
 
 
-def _taylor_expansion(f, place, precision):
-    """f.local_expansion(place, precision) at an ordinary place (x0, y0),
-    y0 != 0, where t = x - x0; local_expansion gives the sizing and the
-    order-0 test.  Each of n0, n1 and d0 is shifted to x0 + t
-    (_taylor_shift), the numerator is n0(x0 + t) + n1(x0 + t) y(t), and the
-    quotient is one power-series division of the two windows past their
-    orders.  param_series is called once, and must give x(t) = x0 + t and
-    y(t) known mod t^P; the leading Taylor coefficients must agree with vn
-    and vd.  Anything else is an InvariantViolation."""
-    curve = f.curve
+# (a, b) with x = t^a X(t), y = t^b Y(t), per Curve.uniformiser_kind
+_SHIFTS = {"generic": (0, 0), "ramified": (0, 1), "infinity": (-2, -3)}
+
+
+def _param_windows(curve, place, n):
+    """(X, Y) mod t^n from one param_series call asking for x(t), y(t) mod
+    t^P, P = n + max(a, b) (at least 1).  Series shorter than P, starting
+    below t^a or t^b, or out of step with the uniformiser, are an
+    InvariantViolation."""
     K = curve.field
-    x0, zero = place.x, K.zero
-    if (peval(K, f.d0, x0) != zero
-            and K.add(peval(K, f.n0, x0), K.mul(peval(K, f.n1, x0), place.y)) != zero):
-        vn = vd = 0
-    else:
-        vn = _order(curve, f.n0, f.n1, place)
-        vd = _order(curve, f.d0, [], place)
-    v = vn - vd
-    P = max(precision - v + max(vn, vd), 1)
+    a, b = _SHIFTS[curve.uniformiser_kind(place)]
+    P = max(n + max(a, b), 1)
     xs, ys = curve.param_series(place, P)
-    if (xs.prec < P or ys.prec < P or xs.val < 0 or ys.val < 0
-            or _window(K, xs, P) != ([x0, K.one] + [zero] * P)[:P]):
-        raise InvariantViolation(
-            f"param_series at {place!r} is not x0 + t and y(t) mod t^{P}")
-    if v >= precision:
-        return LaurentSeries.zero(K, precision)
-    m = precision - v
-    num = _taylor_shift(K, f.n0, x0, vn + m)
-    if f.n1:
-        y = _window(K, ys, vn + m)
-        for i, a in enumerate(_taylor_shift(K, f.n1, x0, vn + m)):
-            if a != zero:
-                for j in range(vn + m - i):
-                    num[i + j] = K.add(num[i + j], K.mul(a, y[j]))
-    den = _taylor_shift(K, f.d0, x0, vd + m)
-    if any(c != zero for c in num[:vn] + den[:vd]) or num[vn] == zero or den[vd] == zero:
-        raise InvariantViolation(
-            f"Taylor coefficients at {place!r} disagree with the orders {vn} and {vd}")
-    return LaurentSeries(K, v, _series_div(K, num[vn:], den[vd:]), precision)
+    if xs.prec < P or ys.prec < P or xs.val < a or ys.val < b:
+        raise InvariantViolation(f"param_series at {place!r} is not x(t), y(t) mod t^{P}")
+    X = ([K.zero] * (xs.val - a) + xs.coeffs + [K.zero] * n)[:n]
+    Y = ([K.zero] * (ys.val - b) + ys.coeffs + [K.zero] * n)[:n]
+    # t = x/y makes X = Y, t = y makes Y = 1, t = x - x0 makes X = x0 + t
+    got, want = (X, Y) if a else (Y, [K.one]) if b else (X, [place.x, K.one])
+    if got != (want + [K.zero] * n)[:n]:
+        raise InvariantViolation(f"param_series at {place!r} is not in its uniformiser")
+    return X, Y
 
 
-def _window(K, s, n):
-    """The coefficients of t^0 .. t^(n-1) of a series with val >= 0."""
-    return ([K.zero] * s.val + s.coeffs + [K.zero] * n)[:n]
+def _place_table(curve, place, n, windows=None):
+    """The place's table, at least n long: the rows X^0, X^1, .. and
+    Y, X Y, .. mod t^n (see _row), and X's nonzero terms.  A shorter one is
+    rebuilt from windows, the (X, Y) of one _param_windows call (made here
+    when not given); a longer one is read by prefix."""
+    got = curve._monomial_tables.get(place)
+    if got is None or len(got[1][0]) < n:
+        K = curve.field
+        X, Y = windows or _param_windows(curve, place, n)
+        got = ([[K.one]], [Y], [(k, c) for k, c in enumerate(X) if c != K.zero])
+        curve._monomial_tables[place] = got
+    return got
 
 
-def _taylor_shift(K, a, x0, n):
-    """The coefficients of t^0 .. t^(n-1) of a(x0 + t).  Pass i is
-    _synthetic_div of c[i:] by x - x0, done in place: its remainder, the
-    next Taylor coefficient, is left in c[i] and its quotient in c[i + 1:]."""
-    c = list(a)
-    top = len(c) - 1
-    for i in range(min(n, top)):
-        for j in range(top - 1, i - 1, -1):
-            c[j] = K.add(c[j], K.mul(x0, c[j + 1]))
-    return (c + [K.zero] * n)[:n]
+def _row(K, table, odd, i):
+    """X^i Y^odd mod t^n, n = len(Y), from the table, which grows a power at
+    a time by multiplying by X over its nonzero terms.  A row ends where it
+    must be zero: X^i = (x0 + t)^i has i + 1 coefficients where t = x - x0."""
+    rows, steps = table[odd], table[2]
+    while len(rows) <= i:
+        add, mul, n = K.add, K.mul, len(table[1][0])
+        m = rows[-1]
+        new = [K.zero] * min(n, len(m) + (steps[-1][0] if steps else 0))
+        for k, c in steps:
+            for j in range(k, min(len(new), len(m) + k)):
+                new[j] = add(new[j], mul(c, m[j - k]))
+        rows.append(new)
+    return rows[i]
+
+
+def _combine(K, table, a, b, p0, p1, s, n):
+    """The coefficients of t^s .. t^(s+n-1) of p0(x) + p1(x) y: c x^i y^odd
+    is c t^(a i + b odd) X^i Y^odd, and s is at most every term's shift."""
+    zero, add, mul = K.zero, K.add, K.mul
+    out = [zero] * n
+    for odd, p in enumerate((p0, p1)):
+        if p:
+            _row(K, table, odd, len(p) - 1)         # grows the rows through deg p
+        for i, c in enumerate(p):
+            off = a * i + b * odd - s
+            if c != zero and off < n:
+                row = table[odd][i]
+                for j in range(min(n - off, len(row))):
+                    out[off + j] = add(out[off + j], mul(c, row[j]))
+    return out
 
 
 def _series_div(K, u, w):
@@ -561,63 +569,55 @@ def _monomial(curve, key):
     return FunctionRep._wrap(curve, [] if odd else xi, xi if odd else [], [K.one])
 
 
-def _monomial_coeffs(curve, key, place, prec):
-    """(val, coeffs): the monomial named by key mod t^prec at the place,
-    coeffs[i] the coefficient of t^(val + i) (an empty list when it
-    vanishes there to order >= prec); callers share the lists, read-only.
+def _monomial_coeffs(curve, keys, place, prec):
+    """Per key, (val, coeffs): the monomial it names mod t^prec at the
+    place, coeffs[i] the coefficient of t^(val + i), zero past the end of
+    the list (empty when it vanishes there to order >= prec); callers share
+    the lists, read-only.
 
-    At an ordinary place (affine, y0 != 0) the power-series window is read
-    from the place's table (_ordinary_window), with val = 0 and leading
-    zeros where the monomial vanishes; the simple-pole key is one division
-    of y(t) + y_T by the linear factor (x0 - x_T) + t unless x0 = x_T.  O,
-    the ramified places and the places +-T run local_expansion, kept per
-    (curve, place, key) at the largest precision asked for; smaller requests
-    truncate it."""
+    x^i y^odd, the pole order 2i + 3 odd at O, is t^(a i + b odd) times
+    X^i Y^odd, a row of the place's table (_place_table), which is sized
+    once for every key.  At an ordinary place the simple-pole key is one
+    division of Y(t) + y_T by the linear factor (x0 - x_T) + t unless
+    x0 = x_T.  O, the ramified places and the places +-T expand it by
+    local_expansion, kept per (curve, place, key) at the largest precision
+    asked for; smaller requests truncate it."""
     K = curve.field
-    if not place.is_infinity and place.y != K.zero:
+    a, b = _SHIFTS[curve.uniformiser_kind(place)]
+    n = prec
+    if a < 0:
+        # only at O is a shift negative: there x^i y^odd has shift -key
+        n += max((key for key in keys if not isinstance(key, Place)), default=0)
+    table = _place_table(curve, place, max(n, 1))
+    out = []
+    for key in keys:
         if not isinstance(key, Place):
             odd = key % 2
-            return 0, _ordinary_window(curve, place, (key - 3 * odd) // 2, odd, prec)
-        c = K.sub(place.x, key.x)
-        if c != K.zero:
-            # (c + t) q = y(t) + y_T: c q_j = y_j - q_(j-1), y_T entering as -q_(-1)
-            inv, prev, q = K.inv(c), K.neg(key.y), []
-            for a in _ordinary_window(curve, place, 0, 1, prec):
-                prev = K.mul(K.sub(a, prev), inv)
+            i = key // 2 - odd
+            val, rows = a * i + b * odd, table[odd]
+            if prec <= val:
+                row = []
+            else:
+                row = rows[i] if i < len(rows) else _row(K, table, odd, i)
+            out.append((val, row if len(row) <= prec - val else row[:prec - val]))
+        elif (a, b) == (0, 0) and place.x != key.x:
+            # (c + t) q = Y(t) + y_T, c = x0 - x_T: c q_j = Y_j - q_(j-1), y_T
+            # entering as -q_(-1)
+            inv, prev, q = K.inv(K.sub(place.x, key.x)), K.neg(key.y), []
+            Y = _row(K, table, 1, 0)
+            for j in range(prec):
+                prev = K.mul(K.sub(Y[j], prev), inv)
                 q.append(prev)
-            return 0, q
-    memo = curve._monomial_expansions
-    got = memo.get((place, key))
-    if got is None or got[0] < prec:
-        got = (prec, _monomial(curve, key).local_expansion(place, prec))
-        memo[(place, key)] = got
-    exp = got[1] if got[0] == prec else got[1].truncate(prec)
-    return exp.val, exp.coeffs
-
-
-def _ordinary_window(curve, place, i, odd, prec):
-    """The coefficients of t^0 .. t^(prec-1) of x^i (odd = 0) or x^i y
-    (odd = 1) at an ordinary place, where t = x - x0.  The place's table
-    holds both powers at the largest precision asked for, from x^0 = 1 and
-    y(t) by the recurrence m -> (x0 + t) m, and grows a power at a time; a
-    larger precision rebuilds it, a smaller one reads a prefix."""
-    if prec <= 0:
-        return []
-    K = curve.field
-    got = curve._monomial_tables.get(place)
-    if got is None or got[0] < prec:
-        _, ys = curve.param_series(place, prec)
-        if ys.prec < prec or ys.val < 0:
-            raise InvariantViolation(f"param_series at {place!r} is not y(t) mod t^{prec}")
-        got = (prec, [[K.one] + [K.zero] * (prec - 1)], [_window(K, ys, prec)])
-        curve._monomial_tables[place] = got
-    n, powers = got[0], got[1 + odd]
-    x0 = place.x
-    while len(powers) <= i:
-        m = powers[-1]
-        powers.append([K.mul(x0, m[0])]
-                      + [K.add(K.mul(x0, m[j]), m[j - 1]) for j in range(1, n)])
-    return powers[i] if n == prec else powers[i][:prec]
+            out.append((0, q))
+        else:
+            memo = curve._monomial_expansions
+            got = memo.get((place, key))
+            if got is None or got[0] < prec:
+                got = (prec, _monomial(curve, key).local_expansion(place, prec))
+                memo[(place, key)] = got
+            exp = got[1] if got[0] == prec else got[1].truncate(prec)
+            out.append((exp.val, exp.coeffs))
+    return out
 
 
 class _RRData:
@@ -756,9 +756,8 @@ class RRBasis:
         u = [K.one] if data.target == self.D else unit(place, prec, a - self.D.mult(place))
         add, mul = K.add, K.mul
         rows = []
-        for key in data.keys:
+        for val, coeffs in _monomial_coeffs(self.curve, data.keys, place, prec - a):
             row = [zero] * prec
-            val, coeffs = _monomial_coeffs(self.curve, key, place, prec - a)
             for i, c in enumerate(coeffs, val + a):
                 if c != zero:
                     for j in range(min(len(u), prec - i)):

@@ -1,6 +1,9 @@
 """Test-side references: constructions the tests compare the engine against,
 which no command runs.
 
+* Horner's rule over LaurentSeries (peval_series): a polynomial evaluated
+  at the series x(t), the reference local expansions are built from.  The
+  engine reads every expansion off its per-place tables instead.
 * Miller's algorithm one line at a time: the chord and vertical lines as
   FunctionReps, and the inverse and quotient of functions, each product
   normalised by the FunctionRep constructor.  principal_function, which
@@ -18,8 +21,27 @@ from scrollinflect.curve import Divisor, single
 from scrollinflect.errors import DomainError, InputError
 from scrollinflect.funcfield import FunctionRep, _chord, _norm, pmul, pneg, rr_basis
 from scrollinflect.scroll import check_jet_order, lead_vectors
+from scrollinflect.series import LaurentSeries
 from scrollinflect.theorems import (_PROXY_CAVEATS, _WITNESS_EXT, TheoremReport,
                                     _bundle_inputs, _ScanPool, _witness_json, segre1)
+
+# --------------------------------------------------------------------------
+# Horner's rule over series
+
+
+def peval_series(K, a, xs):
+    """The polynomial a evaluated at the series xs, with a working precision
+    wide enough that the poles of xs (at O) lose nothing."""
+    if not a:
+        return LaurentSeries.zero(K, xs.prec)
+    big = xs.prec + abs(min(0, xs.val)) * len(a) + 4
+    acc = LaurentSeries.constant(K, a[-1], big)
+    for c in reversed(a[:-1]):
+        acc = acc.mul(xs)
+        if c != K.zero:
+            acc = acc.add(LaurentSeries.constant(K, c, big))
+    return acc
+
 
 # --------------------------------------------------------------------------
 # Miller's line functions

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import references
 from references import chord_line, div, vertical_line
 from scrollinflect import funcfield
 from scrollinflect.bundle import normalized_series
@@ -12,7 +13,7 @@ from scrollinflect.cli import _divisor, _place
 from scrollinflect.curve import Curve, Divisor, INFINITY, Place, single
 from scrollinflect.errors import DomainError, InputError, InvariantViolation
 from scrollinflect.fields import PrimeField, extension_of
-from scrollinflect.funcfield import (FunctionRep, peval_series, pmul,
+from scrollinflect.funcfield import (FunctionRep, pmul,
                                      principal_function, rr_basis)
 from scrollinflect.series import LaurentSeries
 
@@ -182,18 +183,20 @@ def test_expansion_vanishing_past_the_precision_raises(C7):
         assert (got.val, got.coeffs, got.prec) == (3, [], 3), (g, place)
 
 
-# An expansion at one oversized precision, built straight from param_series,
-# is the reference for ord_at and for local_expansion at every precision.
+# An expansion at one oversized precision, built straight from param_series
+# by Horner's rule over series (references.peval_series), is the reference
+# for ord_at and for local_expansion at every precision.
 REFERENCE_PREC = 32
 
 
 def reference_expansion(f, place):
     K = f.curve.field
+    horner = references.peval_series
     xs, ys = f.curve.param_series(place, REFERENCE_PREC)
-    num = peval_series(K, f.n0, xs)
+    num = horner(K, f.n0, xs)
     if f.n1:
-        num = num.add(peval_series(K, f.n1, xs).mul(ys))
-    ref = num.mul(peval_series(K, f.d0, xs).invert())
+        num = num.add(horner(K, f.n1, xs).mul(ys))
+    ref = num.mul(horner(K, f.d0, xs).invert())
     # a nonempty window is the exact order; the one-pass test reads t^0..t^11
     assert ref.coeffs and ref.prec >= 12
     return ref
@@ -329,12 +332,20 @@ def test_local_expansion_is_one_pass(C7, C11, CQ, QQ, monkeypatch):
     assert 0 < empty < expansions
 
 
-def test_local_expansion_checks_the_series_against_the_order(C7, monkeypatch):
-    """A param_series that comes out short, or that moves the valuation,
-    is a fault of the expansion, not a reason to retry."""
-    P = Place(3, 1)
-    v = vertical_line(C7, P)
-    assert v.local_expansion(P, 4).coeffs == [1]
+def test_local_expansion_checks_the_series_against_the_order(F7, monkeypatch):
+    """A param_series that comes out short, at an ordinary place, at O or at
+    a ramified place, or out of step with its uniformiser (x(t) = x0 + t
+    where t = x - x0, x(t) = t y(t) where t = x/y, y(t) = t where t = y),
+    is a fault of the expansion, not a reason to retry.  Each call checks the series it is
+    given, also where the place's table is already built.  So is an order
+    that the leading coefficients contradict."""
+    C7, C_ram = Curve(F7, 0, 2), Curve(F7, F7.neg(1), 0)     # y^2 = x^3 - x
+    P, R = Place(3, 1), Place(0, 0)
+    cases = [(C7, P, vertical_line(C7, P), [1]), (C7, INFINITY, vertical_line(C7, P), [1]),
+             (C_ram, R, vertical_line(C_ram, R), [6])]      # x = -t^2 + ...
+    for curve, place, f, lead in cases:
+        assert f.local_expansion(place, 4).coeffs[:1] == lead
+        assert place in curve._monomial_tables
     param_series = Curve.param_series
 
     def short(curve, place, prec):
@@ -345,33 +356,79 @@ def test_local_expansion_checks_the_series_against_the_order(C7, monkeypatch):
         xs, ys = param_series(curve, place, prec)
         return xs.add(LaurentSeries.constant(curve.field, 1, xs.prec)), ys
 
-    for fake in (short, shifted):
+    def scaled(curve, place, prec):
+        xs, ys = param_series(curve, place, prec)
+        return xs, ys.scalar_mul(curve.field.from_int(2))
+
+    # where t = y the uniformiser fixes y(t) only, so a shifted x(t) there
+    # would need the curve equation to show; where t = x - x0 it leaves y(t)
+    faults = [(short, case) for case in cases] + [(shifted, case) for case in cases[:2]]
+    faults += [(scaled, case) for case in cases[1:]]
+    for fake, (curve, place, f, _) in faults:
         monkeypatch.setattr(Curve, "param_series", fake)
+        for precision in (4, 2):
+            with pytest.raises(InvariantViolation):
+                f.local_expansion(place, precision)
+    monkeypatch.undo()
+    order = funcfield._order
+    # an order of the numerator or of d0 off by one, above at every place,
+    # below where it is positive: the leading window coefficients disagree
+    faults = [(part, 1, case) for part in ("n0", "d0") for case in cases]
+    faults += [("n0", -1, cases[0]), ("n0", -1, cases[2]),
+               ("d0", -1, (C7, P, FunctionRep(C7, [1], [], [4, 1]), None))]   # 1/(x - 3)
+    for part, shift, (curve, place, f, _) in faults:
+        def wrong(curve, n0, n1, place, poly=getattr(f, part), shift=shift):
+            return order(curve, n0, n1, place) + (shift if n0 is poly else 0)
+
+        monkeypatch.setattr(funcfield, "_order", wrong)
         with pytest.raises(InvariantViolation):
-            v.local_expansion(P, 4)
+            f.local_expansion(place, 4)
+    monkeypatch.undo()
+    for curve, place, f, lead in cases:
+        assert f.local_expansion(place, 4).coeffs[:1] == lead
 
 
-def test_ordinary_places_expand_by_taylor_shift(C7, C11, QQ, monkeypatch):
-    """At every place of C7, C11, C7 over F_49 and C7 over F_343, and at
-    ordinary places of y^2 = x^3 + 2 over Q, local_expansion equals the
-    truncated reference at every precision from -4 to 12.  At an ordinary
-    place (affine, y0 != 0) it evaluates no polynomial at a series, so a
-    fallback to Horner's rule fails here; O and the ramified places of
-    F_343 still take that route.  Over F_343 two of the order test
-    functions are drawn at each place, to keep the test short."""
+def test_ordinary_places_expand_by_taylor_shift(C7, C11, CQ, QQ, monkeypatch):
+    """At every place of C7, C11, C7 over F_49 and C7 over F_343, and at O,
+    ordinary places of y^2 = x^3 + 2 and the ramified places of
+    y^2 = x^3 - x over Q, local_expansion equals the truncated Horner
+    reference at every precision from -4 to 12.  The engine never runs that
+    reference, nor any series product or inverse outside param_series: at
+    every place kind the expansion is read off the place's table of X^i
+    and X^i Y.  Over F_343 two of the order test functions are drawn at
+    each place, to keep the test short."""
     rng = random.Random(23)
-    horner = []
-    peval = funcfield.peval_series
+    horner, series_ops, depth = [], [], [0]
+    peval, param_series = references.peval_series, Curve.param_series
 
     def counted(K, a, xs):
         horner.append(a)
         return peval(K, a, xs)
 
-    monkeypatch.setattr(funcfield, "peval_series", counted)
+    def outer(curve, place, prec):
+        depth[0] += 1
+        try:
+            return param_series(curve, place, prec)
+        finally:
+            depth[0] -= 1
+
+    def watched(op):
+        def run(*args):
+            if not depth[0]:
+                series_ops.append(op.__name__)
+            return op(*args)
+        return run
+
+    monkeypatch.setattr(references, "peval_series", counted)
+    monkeypatch.setattr(Curve, "param_series", outer)
+    for name in ("mul", "invert"):
+        monkeypatch.setattr(LaurentSeries, name, watched(getattr(LaurentSeries, name)))
     CQ2 = Curve(QQ, QQ.zero, QQ.from_int(2))
     P = Place(QQ.from_int(-1), QQ.one)
     rationals = [P, CQ2.point_neg(P), CQ2.point_add(P, P)]
-    cases = [(CQ2, p, rationals, None) for p in rationals]
+    cases = [(CQ2, p, rationals, None) for p in [INFINITY] + rationals]
+    torsion = [Place(QQ.from_int(x), QQ.zero) for x in (-1, 0, 1)]
+    cases += [(CQ, p, torsion, None) for p in torsion]
     for curve, drawn in [(C7, None), (C11, None), (C7.base_change(2), None),
                          (C7.base_change(3), 2)]:
         affine = curve.points()[1:]
@@ -379,21 +436,22 @@ def test_ordinary_places_expand_by_taylor_shift(C7, C11, QQ, monkeypatch):
     kinds = set()
     for curve, place, affine, drawn in cases:
         kind = curve.uniformiser_kind(place)
-        kinds.add(kind)
+        kinds.add((curve.field.is_finite, kind))
         functions = order_test_functions(curve, place, affine, rng, n_random=1)
         if drawn and len(functions) > drawn:
             functions = rng.sample(functions, drawn)
         for f in functions:
             ref = reference_expansion(f, place)
-            del horner[:]
+            assert horner and series_ops
+            del horner[:], series_ops[:]
             for precision in range(-4, 13):
                 got = f.local_expansion(place, precision)
                 want = ref.truncate(precision) if ref.val < precision \
                     else LaurentSeries.zero(curve.field, precision)
                 assert (got.val, got.coeffs, got.prec) == \
                     (want.val, want.coeffs, precision), (f, place, precision)
-            assert (not horner) == (kind == "generic"), (f, place)
-    assert kinds == {"generic", "ramified", "infinity"}
+            assert not horner and not series_ops, (f, place)
+    assert kinds == set(product((True, False), ("generic", "ramified", "infinity")))
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -602,14 +660,18 @@ def test_lifted_rows_equal_a_fresh_build(F7, first):
 
 
 def test_monomial_table_equals_local_expansion(F7, F11, monkeypatch):
-    """At every ordinary place (affine, y0 != 0) of C7, C11 and C7 over F_49,
-    and at six drawn places of C7 over F_343, funcfield._monomial_coeffs
-    gives _monomial(curve, key).local_expansion(place, prec) for x^i and
-    x^i y of pole order up to 12 and for the simple-pole key of every affine
-    point T, at precisions 0..8 asked for rising and then falling on one
-    curve (the table is built, grown, rebuilt larger and read by prefix).
-    It runs local_expansion only for the keys T with x_T = x0, the places
-    +-T."""
+    """funcfield._monomial_coeffs equals the Horner reference expansion of
+    _monomial(curve, key) for x^i and x^i y of pole order up to 12 and for
+    the simple-pole key of affine points T, at precisions 0..8 asked for
+    rising and then falling on one curve (the table is built, grown,
+    rebuilt larger and read by prefix), one key at a time and all keys in
+    one call (the table sized once for the largest).  The places are every place of C7
+    and C11 (one ramified place), and O, the ramified places and drawn
+    ordinary places of C7 over F_49 (none ramified) and F_343 (three); the
+    keys T are every affine point over F_7 and F_11, and over the
+    extensions the points +-place and four drawn ones.  local_expansion
+    runs only for the simple-pole key at O, at a ramified place and at the
+    places +-T, and there at each kind of place."""
     rng = random.Random(24)
     expand = FunctionRep.local_expansion
     calls = []
@@ -620,28 +682,43 @@ def test_monomial_table_equals_local_expansion(F7, F11, monkeypatch):
 
     monkeypatch.setattr(FunctionRep, "local_expansion", counted)
     precs = list(range(9)) + list(range(8, -1, -1))
-    pole_calls = 0
+    expanded = set()
     C7 = Curve(F7, 0, 2)
     for curve, drawn in [(C7, None), (Curve(F11, 0, 4), None),
-                         (C7.base_change(2), None), (C7.base_change(3), 6)]:
+                         (C7.base_change(2), 8), (C7.base_change(3), 6)]:
         K = curve.field
         affine = curve.points()[1:]
-        ordinary = [P for P in affine if P.y != K.zero]
+        places = curve.points()
         if drawn:
-            ordinary = rng.sample(ordinary, drawn)
-        for place in ordinary:
+            special = [p for p in places if curve.uniformiser_kind(p) != "generic"]
+            places = special + rng.sample([p for p in affine if p not in special], drawn)
+        for place in places:
+            kind = curve.uniformiser_kind(place)
+            poles = affine
+            if drawn:
+                poles = [T for T in affine if T.x == place.x] + rng.sample(affine, 4)
+            keys = [n for n in range(13) if n != 1] + poles
+            refs = {key: reference_expansion(funcfield._monomial(curve, key), place)
+                    for key in keys}
             for prec in precs:
-                for key in [n for n in range(13) if n != 1] + affine:
+                alone = []
+                for key in keys:
                     del calls[:]
-                    val, coeffs = funcfield._monomial_coeffs(curve, key, place, prec)
-                    pole = isinstance(key, Place) and key.x == place.x
+                    alone += funcfield._monomial_coeffs(curve, [key], place, prec)
+                    pole = isinstance(key, Place) and (kind != "generic" or key.x == place.x)
                     assert pole or not calls, (curve, key, place, prec)
-                    pole_calls += len(calls)
-                    got = LaurentSeries(K, val, coeffs, prec)
-                    want = expand(funcfield._monomial(curve, key), place, prec)
-                    assert (got.val, got.coeffs, got.prec) == \
-                        (want.val, want.coeffs, want.prec), (curve, key, place, prec)
-    assert pole_calls
+                    if calls:
+                        expanded.add(kind)
+                together = funcfield._monomial_coeffs(curve, keys, place, prec)
+                for key, one, every in zip(keys, alone, together):
+                    ref = refs[key]
+                    want = ref.truncate(prec) if ref.val < prec \
+                        else LaurentSeries.zero(K, prec)
+                    for val, coeffs in (one, every):
+                        got = LaurentSeries(K, val, coeffs, prec)
+                        assert (got.val, got.coeffs, got.prec) == \
+                            (want.val, want.coeffs, want.prec), (curve, key, place, prec)
+    assert expanded == {"generic", "ramified", "infinity"}
 
 
 def test_rr_memo_keeps_the_checks(F7, monkeypatch):

@@ -1,4 +1,4 @@
-"""tools/sweep.py: the byte-identity sweep lists 309 commands, and a command
+"""tools/sweep.py: the byte-identity sweep lists 323 commands, and a command
 hashes the same stdout on a second run."""
 
 import sys
@@ -10,8 +10,8 @@ import sweep  # noqa: E402
 
 def test_sweep_lists_distinct_commands(tmp_path):
     cmds = sweep.commands(str(tmp_path))
-    assert len(cmds) == 309
-    assert len({label for label, _ in cmds}) == 309
+    assert len(cmds) == 323
+    assert len({label for label, _ in cmds}) == 323
     assert sum(1 for label, _ in cmds if label.startswith("perfbench ")) == 36
     assert sum(1 for label, _ in cmds if label.startswith("perfbench threshold-verify-")
                and label.endswith(": verify mainA --ext 3")) == 10
@@ -19,6 +19,8 @@ def test_sweep_lists_distinct_commands(tmp_path):
     assert sum(1 for _, argv in cmds if argv[0] == "bounds") == 24
     assert sum(1 for label, _ in cmds if label.startswith("estar over F_49: ")) == 13
     assert sum(1 for label, _ in cmds if " over Q: " in label) == 9
+    assert sum(1 for label, _ in cmds if " over F_7: " in label) == 7
+    assert sum(1 for label, _ in cmds if " over F_7, modified at (1,0): " in label) == 7
     assert sum(1 for label, _ in cmds if label.startswith("argv error: ")) == 1
     assert sum(1 for _, argv in cmds if argv[0] == "curve-info") == 9 + 49 + 2
     assert sum(1 for _, argv in cmds if argv[0] == "hypothesis-nilpotent") == 9 + 3

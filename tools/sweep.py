@@ -1,4 +1,4 @@
-"""Byte-identity sweep: the stdout SHA-256 and exit code of 309 CLI commands.
+"""Byte-identity sweep: the stdout SHA-256 and exit code of 323 CLI commands.
 
     python3 tools/sweep.py                   # this checkout's working tree
     python3 tools/sweep.py --against HEAD    # and a committed revision, compared
@@ -20,7 +20,14 @@ over F_49 (the scans, segre, mainA, mainB, mainC, project, and a base change
 that exits 1); 8 on y^2 = x^3 - x over Q with O(-3O) + O(-2O - (0,0)), four
 answered and four that exit 1 (osc, brute-force segre, mainA, mainC); and
 `hypothesis-nilpotent` on O(-O) + O(-4O) there, which answers `exists`.
-Then one argv error (`osc --k x`, exit 1).  Then the 26 perfbench tasks of
+Then 14 commands on y^2 = x^3 - x over F_7 (RAMIFIED), whose rational
+2-torsion points (0,0), (1,0) and (6,0) are ramified places (t = y), which
+estar's curve has over none of F_7, F_49: on O(-3O) + O(-2O - (0,0)), split
+and modified at (1,0), `osc` and `witnesses` with `--M all --k 2`, `scan
+--M all --k 2 --ext 2`, `verify mainA --ext 2`, `verify mainC --ext 2`,
+`segre --method bruteforce` and `verify appendixA --m 3 --seeds 6` (on the
+modified bundle mainC and appendixA exit 1).  Then one argv error (`osc --k
+x`, exit 1).  Then the 26 perfbench tasks of
 seed 1, pass 0 (ten threshold-verify, ten witness-crosscheck, six
 projection-scan), with the argv their workload gives, and `verify mainA
 --ext 3` on the ten threshold-verify instances (rank-2 and rank-3 bundles,
@@ -218,17 +225,38 @@ OFF_PRIME = [
      [["hypothesis-nilpotent"]]),
 ]
 
+# (label, keys replaced in a copy of estar, argvs), as OFF_PRIME: one bundle
+# on y^2 = x^3 - x over F_7, split and modified at the ramified place (1,0)
+RAMIFIED_BUNDLE = {"factors": [[{"point": "O", "mult": -3}],
+                               [{"point": "O", "mult": -2},
+                                {"point": ["0", "0"], "mult": -1}]],
+                   "modifications": []}
+RAMIFIED_ARGVS = ([[cmd, "--M", "all", "--k", "2"] for cmd in ("osc", "witnesses")]
+                  + [["scan", "--M", "all", "--k", "2", "--ext", "2"],
+                     ["verify", "mainA", "--ext", "2"], ["verify", "mainC", "--ext", "2"],
+                     ["segre", "--method", "bruteforce"],
+                     ["verify", "appendixA", "--m", "3", "--seeds", "6"]])
+RAMIFIED_CURVE = {"curve": {"a4": "6", "a6": "0"}, "M": "all"}
+RAMIFIED = [
+    ("O(-3O) + O(-2O - (0,0)) over F_7", dict(RAMIFIED_CURVE, bundle=RAMIFIED_BUNDLE),
+     RAMIFIED_ARGVS),
+    ("O(-3O) + O(-2O - (0,0)) over F_7, modified at (1,0)",
+     dict(RAMIFIED_CURVE, bundle=dict(RAMIFIED_BUNDLE, modifications=[
+         {"point": ["1", "0"], "codirection": ["1", "1"]}])),
+     RAMIFIED_ARGVS),
+]
 
-def off_prime_commands(workdir):
-    """The 22 commands on the OFF_PRIME instances, written to workdir, and
-    one argv error (`osc --k x`)."""
+
+def variant_commands(workdir):
+    """The 36 commands on the OFF_PRIME and RAMIFIED instances, written to
+    workdir, and one argv error (`osc --k x`)."""
     os.makedirs(workdir, exist_ok=True)
     estar = os.path.join(ROOT, "instances", "estar.json")
     with open(estar) as fh:
         base = json.load(fh)
     out = []
-    for i, (label, keys, argvs) in enumerate(OFF_PRIME):
-        path = os.path.join(workdir, f"off-prime-{i}.json")
+    for i, (label, keys, argvs) in enumerate(OFF_PRIME + RAMIFIED):
+        path = os.path.join(workdir, f"variant-{i}.json")
         with open(path, "w") as fh:
             json.dump(dict(base, **keys), fh)
         out += [(f"{label}: {' '.join(a)}", a + ["--instance", path]) for a in argvs]
@@ -257,7 +285,7 @@ def bench_commands(workdir):
 def commands(workdir):
     return (instance_commands() + bounds_commands()
             + malformed_commands(os.path.join(workdir, "malformed"))
-            + off_prime_commands(os.path.join(workdir, "off-prime"))
+            + variant_commands(os.path.join(workdir, "variants"))
             + bench_commands(os.path.join(workdir, "perfbench")))
 
 
